@@ -1,0 +1,7 @@
+"""Import the program from the checkout's src/ and the benchmark's modules."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
