@@ -2,8 +2,7 @@
 
 Times component forward passes across sequence lengths and fits a
 log-log slope: linear-time components should stay near 1, quadratic
-attention near 2.  Also compares the two scan backends and measures
-peak forward memory.
+attention near 2.  Also measures peak forward memory.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from . import tensor as T
 from .attention import init_lsa, lsa_attention, vanilla_attention
 from .mamba import init_mamba, mamba_block
@@ -147,33 +145,6 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0,
     return BenchResult(rows, slopes)
 
 
-def compare_backends(lengths=(256, 512, 1024, 2048), reps: int = 5,
-                     seed: int = 0, d_inner: int = 128, d_state: int = 32,
-                     log=None) -> list[dict]:
-    """Time the raw scan kernel under each backend on identical inputs."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    prev = kernels.get_backend()
-    try:
-        for seq_len in lengths:
-            u = rng.standard_normal((1, seq_len, d_inner)).astype(np.float32)
-            delta = rng.uniform(0.01, 0.1, size=u.shape).astype(np.float32)
-            a = -np.exp(rng.standard_normal((d_inner, d_state))).astype(np.float32)
-            bm = rng.standard_normal((1, seq_len, d_state)).astype(np.float32)
-            cm = rng.standard_normal((1, seq_len, d_state)).astype(np.float32)
-            for backend in ("numba", "numpy") if kernels.HAVE_NUMBA else ("numpy",):
-                kernels.set_backend(backend)
-                fn = lambda: kernels.scan_forward(u, delta, a, bm, cm, False)
-                mean_ms, std_ms, used = _time_callable(fn, reps)
-                rows.append({"backend": backend, "L": seq_len,
-                             "mean_ms": mean_ms, "std_ms": std_ms, "reps": used})
-                if log:
-                    log(f"scan[{backend}] L={seq_len}: {mean_ms:.3f} ms")
-    finally:
-        kernels.set_backend(prev)
-    return rows
-
-
 def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
     """Peak bytes allocated during one gradient-enabled forward pass."""
     tracemalloc.start()
@@ -212,11 +183,10 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 def write_scaling_svg(path: str, rows: list[dict], width: int = 640,
                       height: int = 480) -> None:
-    """Log-log line chart of mean_ms vs L, one polyline per component/backend."""
-    key = "component" if "component" in rows[0] else "backend"
+    """Log-log line chart of mean_ms vs L, one polyline per component."""
     series: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
-        series.setdefault(r[key], []).append((r["L"], r["mean_ms"]))
+        series.setdefault(r["component"], []).append((r["L"], r["mean_ms"]))
     xs = [np.log(x) for pts in series.values() for x, _ in pts]
     ys = [np.log(y) for pts in series.values() for _, y in pts]
     x0, x1 = min(xs), max(xs)

@@ -5,7 +5,7 @@ Subcommands:
     train       fit a model, save best checkpoint and metric history
     eval        score a checkpoint on the test (and validation) split
     gridsearch  exhaustive hyperparameter sweep with early stopping
-    bench       runtime-scaling benchmark or backend comparison
+    bench       runtime-scaling benchmark
     gradcheck   finite-difference validation of analytic gradients
     ablate      train every architecture variant, emit a comparison CSV
 
@@ -21,9 +21,7 @@ import sys
 
 import numpy as np
 
-from . import kernels
-from .bench import (bench_scaling, compare_backends, write_bench_csv,
-                    write_scaling_svg)
+from .bench import bench_scaling, write_bench_csv, write_scaling_svg
 from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
 from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
@@ -42,7 +40,7 @@ commands:
   train       train a model, write checkpoint/metrics
   eval        evaluate a checkpoint on validation and test splits
   gridsearch  sweep grid_* keys, report the best cell
-  bench       measure runtime scaling (bench_mode=scaling|backends)
+  bench       measure runtime scaling
   gradcheck   compare analytic gradients against finite differences
   ablate      train all variants and tabulate test metrics
   help        show all config keys
@@ -212,21 +210,15 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.backend:
-        kernels.set_backend(cfg.backend)
-    lengths = cfg.int_list("bench_lengths")
-    if cfg.bench_mode == "backends":
-        rows = compare_backends(lengths, reps=cfg.bench_reps, seed=cfg.seed,
-                                log=print)
-    else:
-        result = bench_scaling(cfg.str_list("components"), lengths,
-                               reps=cfg.bench_reps, seed=cfg.seed,
-                               d_model=cfg.d_model, d_state=cfg.d_state,
-                               n_interests=cfg.n_interests,
-                               n_heads=cfg.n_heads, log=print)
-        rows = result.rows
-        for component, slope in result.slopes.items():
-            print(f"slope {component}: {slope:.4f}")
+    result = bench_scaling(cfg.str_list("components"),
+                           cfg.int_list("bench_lengths"),
+                           reps=cfg.bench_reps, seed=cfg.seed,
+                           d_model=cfg.d_model, d_state=cfg.d_state,
+                           n_interests=cfg.n_interests,
+                           n_heads=cfg.n_heads, log=print)
+    rows = result.rows
+    for component, slope in result.slopes.items():
+        print(f"slope {component}: {slope:.4f}")
     if cfg.out:
         write_bench_csv(cfg.out, rows)
         print(f"bench rows written: {cfg.out}")

@@ -61,13 +61,11 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
     "out": ("", str, "output CSV path for bench/gridsearch/ablate"),
     "plot": ("", str, "optional SVG chart output path"),
     # bench
-    "backend": ("", str, "scan backend override: auto|numba|numpy"),
     "bench_lengths": ("256,512,1024,2048,4096", str,
                       "comma-separated sequence lengths"),
     "bench_reps": (5, int, "timed repetitions per point (>= 5)"),
     "components": ("full_model,lsa,vanilla_attention", str,
                    "comma-separated components to benchmark"),
-    "bench_mode": ("scaling", str, "scaling|backends"),
     # grid search (comma-separated candidate lists; empty = not searched)
     "grid_batch_size": ("", str, "batch sizes to search"),
     "grid_n_layers": ("", str, "layer counts to search"),

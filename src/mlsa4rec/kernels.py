@@ -1,263 +1,151 @@
-"""Hot-loop kernels for the selective state-space scan.
-
-Two interchangeable backends compute identical results: a numba
-@njit pair (default when numba imports) and a pure-numpy pair.
-Selection: the MLSA_BACKEND environment variable ("auto", "numba",
-"numpy") read at import, overridable at runtime via set_backend().
+"""Hot-loop kernels for the selective state-space scan (numpy).
 
 Shapes (C-contiguous float32 or float64):
     u, delta : [B, L, E]      inputs and per-step timescales
     a        : [E, N]         diagonal state matrix (negative entries)
     bm, cm   : [B, L, N]      input-dependent state-in / state-out maps
     y        : [B, L, E]      scan output
-    h_hist   : [B, L, E, N]   post-update states, saved for backward
+    states   : [B, L, N, E]   post-update states h_t, saved for backward
+                              (state index before channel: the per-step
+                              broadcasts then run along the contiguous E)
 
-The recurrence per (b, e, n):
-    abar = exp(delta * a)
-    bbar = ((abar - 1) / a) * bm        (delta * bm when |a| < 1e-8)
-    h    = abar * h + bbar * u
-    y   += cm * h
+The recurrence per (b, e, n), with the zero-order-hold coefficient
+c = expm1(delta * a) / a (limit delta as a -> 0) and abar = 1 + a * c,
+which is exp(delta * a):
+    h_t = abar * h_{t-1} + c * bm * u
+    y_t = sum_n cm * h_t
+
+The backward needs only h_t.  Substituting abar * h_{t-1} = h_t - c*bm*u
+into the derivatives of the step gives
+    dh_t/ddelta = a * h_t + bm * u
+    dh_t/da     = delta * h_t + bm * u * (delta - c) / a
+with (delta - c) / a -> -delta**2 / 2 as a -> 0.  The 1/a of the second
+identity is applied once per call, to the sum over steps.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _SMALL_A = 1e-8
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy kernels run without it
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-# ---------------------------------------------------------------------------
-# numpy reference backend
-# ---------------------------------------------------------------------------
-
-def scan_fwd_numpy(u, delta, a, bm, cm, save_states: bool):
-    # Per-step work runs in place on [B,E,N] buffers allocated once: fresh
-    # temporaries of that size cost more than the arithmetic itself.
-    B, L, E = u.shape
-    N = a.shape[1]
-    y = np.empty((B, L, E), dtype=u.dtype)
-    h_hist = np.empty((B, L, E, N), dtype=u.dtype) if save_states else None
-    small = np.abs(a) < _SMALL_A
-    any_small = bool(small.any())
-    a_safe = np.where(small, 1.0, a)
-    h = np.zeros((B, E, N), dtype=u.dtype)
-    abar, coef = np.empty_like(h), np.empty_like(h)
-    for t in range(L):
-        dt = delta[:, t, :, None]                      # [B,E,1]
-        np.exp(np.multiply(dt, a, out=abar), out=abar)
-        np.divide(np.subtract(abar, 1.0, out=coef), a_safe, out=coef)
-        if any_small:
-            np.copyto(coef, dt, where=small)
-        coef *= bm[:, t, None, :]
-        coef *= u[:, t, :, None]
-        h *= abar
-        h += coef
-        y[:, t] = np.einsum("ben,bn->be", h, cm[:, t])
-        if save_states:
-            h_hist[:, t] = h
-    return y, h_hist
-
-
-def scan_bwd_numpy(u, delta, a, bm, cm, h_hist, gy):
-    B, L, E = u.shape
-    N = a.shape[1]
-    du = np.empty_like(u)
-    ddelta = np.empty_like(delta)
-    da = np.zeros_like(a)
-    dbm = np.empty_like(bm)
-    dcm = np.empty_like(cm)
-    small = np.abs(a) < _SMALL_A
-    any_small = bool(small.any())
-    a_safe = np.where(small, 1.0, a)
-    a_sq = a_safe * a_safe
-    g = np.zeros((B, E, N), dtype=u.dtype)             # dL/dh_t
-    zeros = np.zeros_like(g)
-    abar, coef, dcoef_da, bu, tmp, acc = (np.empty_like(g) for _ in range(6))
-    for t in range(L - 1, -1, -1):
-        h_t = h_hist[:, t]                             # [B,E,N]
-        dcm[:, t] = np.einsum("ben,be->bn", h_t, gy[:, t])
-        g += np.multiply(gy[:, t, :, None], cm[:, t, None, :], out=tmp)
-        h_prev = h_hist[:, t - 1] if t > 0 else zeros
-        dt = delta[:, t, :, None]
-        np.exp(np.multiply(dt, a, out=abar), out=abar)
-        np.divide(np.subtract(abar, 1.0, out=coef), a_safe, out=coef)
-        if any_small:
-            np.copyto(coef, dt, where=small)
-        np.multiply(abar, bm[:, t, None, :], out=bu)
-        bu *= u[:, t, :, None]
-        np.multiply(g, coef, out=tmp)
-        du[:, t] = np.einsum("ben,bn->be", tmp, bm[:, t])
-        dbm[:, t] = np.einsum("ben,be->bn", tmp, u[:, t])
-        # d abar / d delta = a * abar; d coef / d delta = abar
-        np.multiply(h_prev, a, out=acc)
-        acc *= abar
-        acc += bu
-        acc *= g
-        ddelta[:, t] = np.einsum("ben->be", acc)
-        # d abar / d a = delta * abar
-        # d coef / d a = (delta*abar*a - abar + 1) / a^2, limit delta^2/2
-        np.multiply(dt, abar, out=dcoef_da)
-        dcoef_da *= a_safe
-        dcoef_da -= abar
-        dcoef_da += 1.0
-        dcoef_da /= a_sq
-        if any_small:
-            np.copyto(dcoef_da, 0.5 * dt * dt, where=small)
-        np.multiply(h_prev, dt, out=acc)
-        acc *= abar
-        np.multiply(dcoef_da, bm[:, t, None, :], out=tmp)
-        tmp *= u[:, t, :, None]
-        acc += tmp
-        acc *= g
-        da += np.einsum("ben->en", acc)
-        g *= abar
-    return du, ddelta, da, dbm, dcm
-
-
-# ---------------------------------------------------------------------------
-# numba backend (same math, explicit loops, single-threaded)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _scan_fwd_nb(u, delta, a, bm, cm, y, h_hist, save_states):
-        B, L, E = u.shape
-        N = a.shape[1]
-        h = np.zeros((E, N), dtype=u.dtype)
-        for b in range(B):
-            h[:, :] = 0.0
-            for t in range(L):
-                for e in range(E):
-                    dt = delta[b, t, e]
-                    ue = u[b, t, e]
-                    acc = 0.0
-                    for n in range(N):
-                        an = a[e, n]
-                        abar = np.exp(dt * an)
-                        if an < _SMALL_A and an > -_SMALL_A:
-                            coef = dt
-                        else:
-                            coef = (abar - 1.0) / an
-                        hn = abar * h[e, n] + coef * bm[b, t, n] * ue
-                        h[e, n] = hn
-                        if save_states:
-                            h_hist[b, t, e, n] = hn
-                        acc += cm[b, t, n] * hn
-                    y[b, t, e] = acc
-
-    @njit(cache=True, fastmath=True)
-    def _scan_bwd_nb(u, delta, a, bm, cm, h_hist, gy,
-                     du, ddelta, da, dbm, dcm):
-        B, L, E = u.shape
-        N = a.shape[1]
-        g = np.zeros((E, N), dtype=u.dtype)
-        for b in range(B):
-            g[:, :] = 0.0
-            for t in range(L - 1, -1, -1):
-                for e in range(E):
-                    dt = delta[b, t, e]
-                    ue = u[b, t, e]
-                    gye = gy[b, t, e]
-                    du_acc = 0.0
-                    ddt_acc = 0.0
-                    for n in range(N):
-                        an = a[e, n]
-                        abar = np.exp(dt * an)
-                        tiny = an < _SMALL_A and an > -_SMALL_A
-                        if tiny:
-                            coef = dt
-                        else:
-                            coef = (abar - 1.0) / an
-                        h_t = h_hist[b, t, e, n]
-                        if t > 0:
-                            h_prev = h_hist[b, t - 1, e, n]
-                        else:
-                            h_prev = 0.0
-                        dcm[b, t, n] += h_t * gye
-                        gn = g[e, n] + gye * cm[b, t, n]
-                        du_acc += gn * coef * bm[b, t, n]
-                        dbm[b, t, n] += gn * coef * ue
-                        ddt_acc += gn * (h_prev * an * abar + abar * bm[b, t, n] * ue)
-                        if tiny:
-                            dcoef_da = 0.5 * dt * dt
-                        else:
-                            dcoef_da = (dt * abar * an - abar + 1.0) / (an * an)
-                        da[e, n] += gn * (h_prev * dt * abar
-                                          + dcoef_da * bm[b, t, n] * ue)
-                        g[e, n] = gn * abar
-                    du[b, t, e] = du_acc
-                    ddelta[b, t, e] = ddt_acc
-
-    def scan_fwd_numba(u, delta, a, bm, cm, save_states: bool):
-        B, L, E = u.shape
-        N = a.shape[1]
-        y = np.zeros((B, L, E), dtype=u.dtype)
-        h_hist = np.zeros((B, L, E, N), dtype=u.dtype) if save_states \
-            else np.zeros((1, 1, 1, 1), dtype=u.dtype)
-        _scan_fwd_nb(u, delta, a, bm, cm, y, h_hist, save_states)
-        return y, (h_hist if save_states else None)
-
-    def scan_bwd_numba(u, delta, a, bm, cm, h_hist, gy):
-        du = np.zeros_like(u)
-        ddelta = np.zeros_like(delta)
-        da = np.zeros_like(a)
-        dbm = np.zeros_like(bm)
-        dcm = np.zeros_like(cm)
-        _scan_bwd_nb(u, delta, a, bm, cm, h_hist, gy, du, ddelta, da, dbm, dcm)
-        return du, ddelta, da, dbm, dcm
-else:  # pragma: no cover
-    scan_fwd_numba = scan_fwd_numpy
-    scan_bwd_numba = scan_bwd_numpy
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_VALID = ("auto", "numba", "numpy")
-_backend = "numpy"
-
-
-def set_backend(name: str) -> str:
-    """Pick the scan implementation; returns the resolved backend name."""
-    global _backend
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = "numba" if name == "auto" and HAVE_NUMBA else \
-        "numpy" if name == "auto" else name
-    return _backend
+_BLOCK_BYTES = 1 << 18
 
 
 def get_backend() -> str:
-    return _backend
+    """Name of the scan implementation; numpy is the only one."""
+    return "numpy"
+
+
+class _Poles:
+    """a transposed to [N, E], with the |a| < _SMALL_A entries found once."""
+
+    def __init__(self, a):
+        self.at = np.ascontiguousarray(a.T)
+        self.small = np.abs(self.at) < _SMALL_A
+        self.any_small = bool(self.small.any())
+        self.safe = np.where(self.small, 1, self.at)
+
+    def coef(self, dt, out):
+        """out = expm1(dt * a) / a, or dt where |a| is small; dt is [B,1,E]."""
+        np.multiply(dt, self.at, out=out)
+        np.expm1(out, out=out)
+        out /= self.safe
+        if self.any_small:
+            np.copyto(out, dt, where=self.small)
+        return out
+
+
+def _row_blocks(B, N, E, dtype):
+    """Slices of the batch axis that the scan runs one after another.
+
+    Rows are independent, so the scan runs block by block with [rows,N,E]
+    buffers of about 256 KiB: the four or five a step touches then stay
+    in a core's L2 cache instead of streaming from memory at every step.
+    """
+    rows = max(1, _BLOCK_BYTES // (N * E * np.dtype(dtype).itemsize))
+    return [slice(b, b + rows) for b in range(0, B, rows)]
 
 
 def scan_forward(u, delta, a, bm, cm, save_states: bool):
-    if _backend == "numba":
-        return scan_fwd_numba(u, delta, a, bm, cm, save_states)
-    return scan_fwd_numpy(u, delta, a, bm, cm, save_states)
+    """Run the scan; returns (y, states), states None unless save_states."""
+    B, L, E = u.shape
+    N = a.shape[1]
+    poles = _Poles(a)
+    y = np.empty((B, L, E), dtype=u.dtype)
+    states = np.empty((B, L, N, E), dtype=u.dtype) if save_states else None
+    for r in _row_blocks(B, N, E, u.dtype):
+        _forward_rows(poles, u[r], delta[r], bm[r], cm[r], y[r],
+                      None if states is None else states[r])
+    return y, states
 
 
-def scan_backward(u, delta, a, bm, cm, h_hist, gy):
-    if _backend == "numba":
-        return scan_bwd_numba(u, delta, a, bm, cm, h_hist, gy)
-    return scan_bwd_numpy(u, delta, a, bm, cm, h_hist, gy)
+def _forward_rows(poles, u, delta, bm, cm, y, states):
+    # Per-step work runs in place on buffers allocated once: fresh
+    # temporaries cost more than the arithmetic itself.  Saved states are
+    # written straight into their slot of the history.
+    B, L = u.shape[:2]
+    h = np.zeros((B,) + poles.at.shape, dtype=u.dtype)
+    c, abar = np.empty_like(h), np.empty_like(h)
+    for t in range(L):
+        poles.coef(delta[:, t, None, :], c)
+        np.multiply(poles.at, c, out=abar)
+        abar += 1.0
+        c *= bm[:, t, :, None]
+        c *= u[:, t, None, :]
+        h_next = h if states is None else states[:, t]
+        np.multiply(h, abar, out=h_next)
+        h_next += c
+        h = h_next
+        np.matmul(cm[:, t, None, :], h, out=y[:, t, None, :])
 
 
-set_backend(os.environ.get("MLSA_BACKEND", "auto"))
+def scan_backward(u, delta, a, bm, cm, states, gy):
+    """Gradients (du, ddelta, da, dbm, dcm) of sum(y * gy) from the saved
+    states of scan_forward."""
+    B, L, E = u.shape
+    N = a.shape[1]
+    poles = _Poles(a)
+    du = np.empty_like(u)
+    ddelta = np.empty_like(delta)
+    dbm = np.empty_like(bm)
+    dcm = np.empty_like(cm)
+    da_h = np.zeros((N, E), dtype=u.dtype)        # sum of g * delta * h_t
+    da_q = np.zeros((N, 1, E), dtype=u.dtype)     # sum of g*bm*u*(delta-c)
+    for r in _row_blocks(B, N, E, u.dtype):
+        _backward_rows(poles, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
+                       du[r], ddelta[r], dbm[r], dcm[r], da_h, da_q)
+    da = da_h + da_q[:, 0] / poles.safe
+    return du, ddelta, np.ascontiguousarray(da.T), dbm, dcm
+
+
+def _backward_rows(poles, u, delta, bm, cm, states, gy,
+                   du, ddelta, dbm, dcm, da_h, da_q):
+    B, L, E = u.shape
+    at = poles.at
+    bm_t = np.ascontiguousarray(bm.transpose(1, 2, 0))[:, :, None, :]  # [L,N,1,B]
+    q_t = np.empty_like(da_q)
+    sgb = np.empty((B, 1, E), dtype=u.dtype)      # sum_n bm * g
+    g = np.zeros((B,) + at.shape, dtype=u.dtype)  # dL/dh_t
+    c, gc, tmp = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+    for t in range(L - 1, -1, -1):
+        h_t = states[:, t]
+        dt = delta[:, t, None, :]                 # [B,1,E]
+        ut = u[:, t, None, :]
+        np.matmul(h_t, gy[:, t, :, None], out=dcm[:, t, :, None])
+        g += np.multiply(cm[:, t, :, None], gy[:, t, None, :], out=tmp)
+        poles.coef(dt, c)
+        np.multiply(g, c, out=gc)
+        np.matmul(bm[:, t, None, :], gc, out=du[:, t, None, :])
+        np.matmul(gc, u[:, t, :, None], out=dbm[:, t, :, None])
+        np.matmul(bm[:, t, None, :], g, out=sgb)
+        np.multiply(g, h_t, out=tmp)
+        np.einsum("bne,ne->be", tmp, at, out=ddelta[:, t])
+        ddelta[:, t] += sgb[:, 0] * u[:, t]
+        da_h += np.einsum("be,bne->ne", delta[:, t], tmp)
+        np.subtract(dt, c, out=tmp)
+        if poles.any_small:
+            np.copyto(tmp, -0.5 * dt * dt, where=poles.small)
+        tmp *= g
+        tmp *= ut
+        da_q += np.matmul(bm_t[t], tmp.transpose(1, 0, 2), out=q_t)
+        g += np.multiply(gc, at, out=tmp)         # g * abar = g + a * g * c

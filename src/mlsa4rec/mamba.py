@@ -87,7 +87,7 @@ def discretize_zoh(a, b, delta):
 
 
 def _scan_op(u: Tensor, delta: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
-    """Autodiff wrapper around the backend scan kernels."""
+    """Autodiff wrapper around the scan kernels."""
     ud = np.ascontiguousarray(u.data)
     dd = np.ascontiguousarray(delta.data)
     ad = np.ascontiguousarray(a.data)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -239,7 +239,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             db = np.swapaxes(ad, -1, -2) @ g
         else:  # (B,m,k) @ (k,p): fold batch into the reduction for db
             da = g @ bd.T
-            db = np.einsum("bmk,bmp->kp", ad, g)
+            db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return da, db
     return make_op(out, (a, b), bwd, "matmul")
 
@@ -346,17 +346,8 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tens
     return make_op(out, (x, gain, bias), bwd, "layernorm")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
+    s = expit(x.data)
 
     def bwd(g):
         return (g * s * (1.0 - s),)
@@ -364,7 +355,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
+    s = expit(x.data)
     out = x.data * s
 
     def bwd(g):
@@ -387,7 +378,7 @@ def softplus(x: Tensor) -> Tensor:
     out = np.where(x.data > 30.0, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
 
     def bwd(g):
-        return (g * _sigmoid(x.data),)
+        return (g * expit(x.data),)
     return make_op(out.astype(x.data.dtype, copy=False), (x,), bwd, "softplus")
 
 

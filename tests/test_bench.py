@@ -5,11 +5,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mlsa4rec import kernels
-from mlsa4rec.bench import (bench_scaling, compare_backends, fit_slope,
-                            peak_forward_memory, read_bench_csv,
-                            write_bench_csv, write_scaling_svg,
-                            _median_of_means)
+from mlsa4rec.bench import (bench_scaling, fit_slope, peak_forward_memory,
+                            read_bench_csv, write_bench_csv,
+                            write_scaling_svg, _median_of_means)
 from mlsa4rec.model import MlsaModel, ModelConfig
 
 TINY_LENGTHS = [8, 16, 32, 64]
@@ -79,25 +77,9 @@ class TestBenchScaling:
         assert back[0]["component"] == "lsa"
 
 
-class TestBackendComparison:
-    def test_rows_cover_both_backends(self):
-        rows = compare_backends(lengths=(16, 32), reps=5, d_inner=16, d_state=4)
-        backends = {r["backend"] for r in rows}
-        expected = {"numba", "numpy"} if kernels.HAVE_NUMBA else {"numpy"}
-        assert backends == expected
-        assert {r["L"] for r in rows} == {16, 32}
-        for r in rows:
-            assert r["mean_ms"] > 0.0
-
-    def test_backend_restored(self):
-        prev = kernels.get_backend()
-        compare_backends(lengths=(16, 32), reps=5, d_inner=8, d_state=4)
-        assert kernels.get_backend() == prev
-
-
 class TestMemory:
     def test_forward_memory_scales_linearly(self):
-        # one throwaway forward first so JIT compilation is not measured
+        # one throwaway forward first so one-time set-up is not measured
         warm = MlsaModel(ModelConfig(vocab_size=50, max_len=16, d_model=16,
                                      d_state=8, n_interests=4, n_heads=2,
                                      n_layers=1), seed=0)
@@ -126,11 +108,3 @@ class TestSvg:
         assert root.tag.endswith("svg")
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 2
-
-    def test_backend_rows_plot_too(self, tmp_path):
-        rows = [{"backend": b, "L": L, "mean_ms": 0.02 * L, "std_ms": 0.0,
-                 "reps": 5}
-                for b in ("numba", "numpy") for L in TINY_LENGTHS]
-        path = str(tmp_path / "backends.svg")
-        write_scaling_svg(path, rows)
-        assert "<svg" in open(path).read()

@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from mlsa4rec import kernels
 from mlsa4rec.bench import read_bench_csv
 from mlsa4rec.cli import main
 
@@ -176,16 +175,6 @@ class TestBenchCli:
         rows = read_bench_csv(out_csv)
         assert len(rows) == 4
         assert "<svg" in open(out_svg).read()
-
-    def test_backend_mode(self, tmp_path, capsys):
-        out_csv = str(tmp_path / "backends.csv")
-        code, out, _ = run(["bench", "--bench_mode", "backends",
-                            "--bench_lengths", "16,32", "--bench_reps", "5",
-                            "--out", out_csv], capsys)
-        assert code == 0
-        rows = read_bench_csv(out_csv)
-        expected = {"numba", "numpy"} if kernels.HAVE_NUMBA else {"numpy"}
-        assert {r["backend"] for r in rows} == expected
 
     def test_bad_lengths_fail_cleanly(self, capsys):
         code, _, err = run(["bench", "--bench_lengths", "8,16"], capsys)

@@ -1,15 +1,8 @@
-"""Scan kernels: backend selection and numba/numpy agreement."""
+"""Scan kernels against a float64 per-step loop and central differences."""
 
 import numpy as np
-import pytest
 
 from mlsa4rec import kernels
-
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba is not importable")
-
-AVAILABLE_BACKENDS = ("numba", "numpy") if kernels.HAVE_NUMBA else ("numpy",)
 
 
 def random_instance(rng, batch=2, seq=9, e_inner=4, d_state=3, dtype=np.float64):
@@ -21,54 +14,24 @@ def random_instance(rng, batch=2, seq=9, e_inner=4, d_state=3, dtype=np.float64)
     return u, delta, a, bm, cm
 
 
-@pytest.fixture
-def restore_backend():
-    prev = kernels.get_backend()
-    yield
-    kernels.set_backend(prev)
-
-
-class TestBackendSelection:
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-
-    def test_auto_prefers_numba(self, restore_backend):
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.set_backend("auto") == expected
-
-    def test_explicit_numpy(self, restore_backend):
-        assert kernels.set_backend("numpy") == "numpy"
-        assert kernels.get_backend() == "numpy"
+def loop_scan(u, delta, a, bm, cm):
+    """y of the recurrence, one step at a time, in float64."""
+    B, L, E = u.shape
+    small = np.abs(a) < 1e-8
+    y = np.zeros((B, L, E))
+    for b in range(B):
+        h = np.zeros(a.shape)
+        for t in range(L):
+            dt = delta[b, t][:, None]
+            bbar = np.where(small, dt, np.expm1(dt * a) / np.where(small, 1.0, a))
+            h = np.exp(dt * a) * h + bbar * bm[b, t] * u[b, t][:, None]
+            y[b, t] = h @ cm[b, t]
+    return y
 
 
 class TestBackendAgreement:
-    @needs_numba
-    def test_forward_and_states_match(self, restore_backend):
-        rng = np.random.default_rng(0)
-        u, delta, a, bm, cm = random_instance(rng)
-        a[0, 0] = -1e-9  # exercise the small-pole limit branch
-        kernels.set_backend("numpy")
-        y_np, h_np = kernels.scan_forward(u, delta, a, bm, cm, True)
-        kernels.set_backend("numba")
-        y_nb, h_nb = kernels.scan_forward(u, delta, a, bm, cm, True)
-        np.testing.assert_allclose(y_nb, y_np, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(h_nb, h_np, rtol=1e-10, atol=1e-12)
-
-    @needs_numba
-    def test_backward_matches(self, restore_backend):
-        rng = np.random.default_rng(1)
-        u, delta, a, bm, cm = random_instance(rng, batch=3, seq=7)
-        a[1, 2] = 1e-10  # small-pole branch in the gradient too
-        gy = rng.standard_normal(u.shape)
-        kernels.set_backend("numpy")
-        _, h = kernels.scan_forward(u, delta, a, bm, cm, True)
-        g_np = kernels.scan_backward(u, delta, a, bm, cm, h, gy)
-        kernels.set_backend("numba")
-        g_nb = kernels.scan_backward(u, delta, a, bm, cm, h, gy)
-        for name, x_np, x_nb in zip(("u", "delta", "a", "bm", "cm"), g_np, g_nb):
-            np.testing.assert_allclose(x_nb, x_np, rtol=1e-9, atol=1e-11,
-                                       err_msg=f"grad {name}")
+    """The scan's own agreement checks; the class keeps its name so that
+    the test ids stay stable."""
 
     def test_no_state_saving_when_not_needed(self):
         rng = np.random.default_rng(2)
@@ -76,13 +39,100 @@ class TestBackendAgreement:
         _, h = kernels.scan_forward(u, delta, a, bm, cm, False)
         assert h is None
 
-    def test_float32_tracks_float64(self, restore_backend):
+    def test_float32_tracks_float64(self):
         rng = np.random.default_rng(3)
         u, delta, a, bm, cm = random_instance(rng, seq=16)
         args32 = [x.astype(np.float32) for x in (u, delta, a, bm, cm)]
-        for backend in AVAILABLE_BACKENDS:
-            kernels.set_backend(backend)
-            y64, _ = kernels.scan_forward(u, delta, a, bm, cm, False)
-            y32, _ = kernels.scan_forward(*args32, False)
-            np.testing.assert_allclose(y32, y64, rtol=2e-4, atol=2e-5,
-                                       err_msg=f"backend {backend}")
+        y64, _ = kernels.scan_forward(u, delta, a, bm, cm, False)
+        y32, _ = kernels.scan_forward(*args32, False)
+        np.testing.assert_allclose(y32, y64, rtol=2e-4, atol=2e-5)
+
+
+class TestScan:
+    def test_saved_states_hold_one_state_per_step(self):
+        rng = np.random.default_rng(2)
+        B, L, E, N = 3, 5, 4, 2
+        args = random_instance(rng, B, L, E, N, dtype=np.float32)
+        _, h = kernels.scan_forward(*args, True)
+        assert h.nbytes == B * L * E * N * np.dtype(np.float32).itemsize
+
+    def test_saving_states_leaves_output_unchanged(self):
+        rng = np.random.default_rng(4)
+        for dtype in (np.float32, np.float64):
+            args = random_instance(rng, dtype=dtype)
+            y_saved, _ = kernels.scan_forward(*args, True)
+            y_bare, _ = kernels.scan_forward(*args, False)
+            np.testing.assert_array_equal(y_saved, y_bare)
+
+    def test_forward_matches_loop_with_small_poles(self):
+        rng = np.random.default_rng(0)
+        u, delta, a, bm, cm = random_instance(rng)
+        a[0, 0] = -1e-9
+        a[1, 2] = 1e-10
+        y, _ = kernels.scan_forward(u, delta, a, bm, cm, False)
+        np.testing.assert_allclose(y, loop_scan(u, delta, a, bm, cm),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_backward_matches_central_differences(self):
+        rng = np.random.default_rng(1)
+        args = list(random_instance(rng, batch=2, seq=7))
+        args[2][0, 0] = -1e-9    # small-pole limits in both gradient terms
+        args[2][1, 2] = 1e-10
+        gy = rng.standard_normal(args[0].shape)
+        _, h = kernels.scan_forward(*args, True)
+        grads = kernels.scan_backward(*args, h, gy)
+        eps = 1e-6
+        for name, x, g in zip(("u", "delta", "a", "bm", "cm"), args, grads):
+            assert g.shape == x.shape
+            fd = np.zeros_like(x)
+            for idx in np.ndindex(x.shape):
+                orig = x[idx]
+                x[idx] = orig + eps
+                up = (loop_scan(*args) * gy).sum()
+                x[idx] = orig - eps
+                down = (loop_scan(*args) * gy).sum()
+                x[idx] = orig
+                fd[idx] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(g, fd, rtol=1e-6,
+                                       atol=1e-7 * np.abs(fd).max(),
+                                       err_msg=f"grad {name}")
+
+    def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        B, E, N = 5, 4, 3
+        args = random_instance(rng, batch=B, e_inner=E, d_state=N)
+        args[2][1, 2] = 1e-10
+        gy = rng.standard_normal(args[0].shape)
+        y1, h1 = kernels.scan_forward(*args, True)
+        g1 = kernels.scan_backward(*args, h1, gy)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 2 * N * E * 8)
+        assert len(kernels._row_blocks(B, N, E, np.float64)) == 3  # 2, 2, 1
+        y2, h2 = kernels.scan_forward(*args, True)
+        g2 = kernels.scan_backward(*args, h2, gy)
+        np.testing.assert_allclose(y2, y1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(h2, h1, rtol=1e-13, atol=0)
+        for name, x1, x2 in zip(("u", "delta", "a", "bm", "cm"), g1, g2):
+            np.testing.assert_allclose(x2, x1, rtol=1e-12, atol=1e-14,
+                                       err_msg=f"grad {name}")
+
+    def test_float32_pole_gradient_tracks_float64(self):
+        # |a * delta| from 1e-3 to 5, the range the model's poles and
+        # softplus timescales cover; float32 da within 8 eps of its scale.
+        rng = np.random.default_rng(0)
+        B, L, E, N = 4, 12, 8, 6
+        u = rng.standard_normal((B, L, E))
+        delta = rng.uniform(0.01, 1.0, (B, L, E))
+        a = -np.exp(rng.uniform(np.log(0.1), np.log(5.0), (E, N)))
+        bm = rng.standard_normal((B, L, N))
+        cm = rng.standard_normal((B, L, N))
+        gy = rng.standard_normal((B, L, E))
+        assert np.abs(a).min() * delta.min() >= 1e-3
+        _, h64 = kernels.scan_forward(u, delta, a, bm, cm, True)
+        da64 = kernels.scan_backward(u, delta, a, bm, cm, h64, gy)[2]
+        args32 = [x.astype(np.float32) for x in (u, delta, a, bm, cm)]
+        _, h32 = kernels.scan_forward(*args32, True)
+        da32 = kernels.scan_backward(*args32, h32, gy.astype(np.float32))[2]
+        assert da32.dtype == np.float32
+        scale = np.abs(da64).max()
+        np.testing.assert_allclose(da32, da64, rtol=0,
+                                   atol=8 * np.finfo(np.float32).eps * scale)

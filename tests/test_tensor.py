@@ -134,6 +134,19 @@ class TestElementwise:
         for op in (T.silu, T.gelu, T.sigmoid, T.softplus, T.exp):
             check_unary(op, x * 0.7)
 
+    def test_sigmoid_keeps_dtype_and_saturates_cleanly(self):
+        x = np.array([0.0, 20.0, -20.0, 100.0, -100.0])
+        expect = 1.0 / (1.0 + np.exp(-x))
+        for dtype in (np.float32, np.float64):
+            for op, scale in ((T.sigmoid, 1.0), (T.silu, x)):
+                got = op(Tensor(x.astype(dtype))).data
+                assert got.dtype == dtype
+                assert not np.isnan(got).any()
+                np.testing.assert_allclose(got, expect * scale,
+                                           rtol=np.finfo(dtype).eps * 4,
+                                           atol=np.finfo(dtype).tiny,
+                                           err_msg=f"{op.__name__}")
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         out = T.softmax(Tensor(rng.standard_normal((5, 7))), axis=-1).data
