@@ -27,26 +27,19 @@ class LsaParams:
     w_v: Tensor                # [D, D]
     n_heads: int
     n_interests: int
-    per_head_theta: bool = False
 
 
 def init_lsa(store: ParameterStore, prefix: str, d_model: int, n_interests: int,
-             n_heads: int, with_theta: bool = True,
-             per_head_theta: bool = False) -> LsaParams:
+             n_heads: int, with_theta: bool = True) -> LsaParams:
     if d_model % n_heads:
         raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
     theta = None
     if with_theta:
-        if per_head_theta:
-            d_head = d_model // n_heads
-            theta = store.uniform(f"{prefix}.theta",
-                                  (n_heads * n_interests, d_head), d_head)
-        else:
-            theta = store.uniform(f"{prefix}.theta", (n_interests, d_model), d_model)
+        theta = store.uniform(f"{prefix}.theta", (n_interests, d_model), d_model)
     w_q = store.uniform(f"{prefix}.w_q", (d_model, d_model), d_model)
     w_k = store.uniform(f"{prefix}.w_k", (d_model, d_model), d_model)
     w_v = store.uniform(f"{prefix}.w_v", (d_model, d_model), d_model)
-    return LsaParams(theta, w_q, w_k, w_v, n_heads, n_interests, per_head_theta)
+    return LsaParams(theta, w_q, w_k, w_v, n_heads, n_interests)
 
 
 def interest_aggregate(hmat: Tensor, theta: Tensor) -> tuple[Tensor, Tensor]:
@@ -85,26 +78,9 @@ def lsa_attention(x: Tensor, p: LsaParams) -> Tensor:
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
     inv_scale = 1.0 / np.sqrt(d_head)
-    outs = []
-    if p.per_head_theta:
-        qs = _split_heads(q, p.n_heads)
-        ks = _split_heads(k, p.n_heads)
-        vs = _split_heads(v, p.n_heads)
-        for i in range(p.n_heads):
-            theta_i = T.slice_last(
-                T.transpose_last(p.theta), i * p.n_interests,
-                (i + 1) * p.n_interests)  # [d_head, P] column block
-            zi = T.softmax(T.matmul(ks[i], theta_i), axis=-1)
-            zit = T.transpose_last(zi)
-            k_pool = T.matmul(zit, ks[i])
-            v_pool = T.matmul(zit, vs[i])
-            attn = T.softmax(
-                T.scale(T.matmul(qs[i], T.transpose_last(k_pool)), inv_scale),
-                axis=-1)
-            outs.append(T.matmul(attn, v_pool))
-        return T.concat_last(outs)
     z, k_pool = interest_aggregate(k, p.theta)
     v_pool = T.matmul(T.transpose_last(z), v)
+    outs = []
     for qi, kpi, vpi in zip(_split_heads(q, p.n_heads),
                             _split_heads(k_pool, p.n_heads),
                             _split_heads(v_pool, p.n_heads)):

@@ -22,8 +22,6 @@ from .tensor import ParameterStore, Tensor
 
 COMPONENTS = ("mamba_block", "lsa", "vanilla_attention", "full_model")
 
-_MAX_REP_DOUBLINGS = 6
-
 
 @dataclass
 class BenchResult:
@@ -41,27 +39,6 @@ def _median_of_means(samples: list[float], groups: int = 5) -> float:
     arr = np.asarray(samples, dtype=np.float64)
     chunks = np.array_split(arr, min(groups, len(arr)))
     return float(np.median([c.mean() for c in chunks]))
-
-
-def _time_callable(fn, reps: int, warmup: int = 3) -> tuple[float, float, int]:
-    """(median-of-means ms, std ms, reps actually used)."""
-    tick = time.get_clock_info("perf_counter").resolution
-    for _ in range(warmup):
-        fn()
-    for attempt in range(_MAX_REP_DOUBLINGS + 1):
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            samples.append((time.perf_counter() - t0) * 1e3)
-        mean_ms = _median_of_means(samples)
-        if mean_ms >= 10.0 * tick * 1e3:
-            return mean_ms, float(np.std(samples)), reps
-        if attempt == _MAX_REP_DOUBLINGS:
-            raise RuntimeError(
-                f"timer resolution {tick:g}s too coarse for mean {mean_ms:g}ms")
-        reps *= 2
-    raise AssertionError("unreachable")
 
 
 def _component_fn(component: str, seq_len: int, seed: int, batch_size: int,
@@ -105,7 +82,6 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0,
         raise ValueError("need >= 4 strictly increasing sequence lengths")
     if reps < 5:
         raise ValueError("reps must be >= 5")
-    tick = time.get_clock_info("perf_counter").resolution
     points = []
     with T.no_grad():
         for component in components:
@@ -129,13 +105,10 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0,
             means = []
             for seq_len in lengths:
                 s = samples[(component, seq_len)]
-                mean_ms, std_ms, used = _median_of_means(s), float(np.std(s)), reps
-                if mean_ms < 10.0 * tick * 1e3:  # timer-resolution fallback
-                    fn = next(f for c, sl, f in points
-                              if c == component and sl == seq_len)
-                    mean_ms, std_ms, used = _time_callable(fn, 2 * reps)
+                mean_ms = _median_of_means(s)
                 rows.append({"component": component, "L": seq_len,
-                             "mean_ms": mean_ms, "std_ms": std_ms, "reps": used})
+                             "mean_ms": mean_ms, "std_ms": float(np.std(s)),
+                             "reps": reps})
                 means.append(mean_ms)
                 if log:
                     log(f"{component} L={seq_len}: {mean_ms:.3f} ms")

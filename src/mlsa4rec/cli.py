@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
                    load_dataset_cache, pad_truncate, parse_amazon,
                    parse_movielens, save_dataset_cache, split_dataset,
                    synthetic_successor_dataset)
-from .model import VARIANTS, ModelConfig, build_variant
+from .model import VARIANTS, MlsaModel, ModelConfig
 from .tensor import load_checkpoint, save_checkpoint
 from .train_eval import (TrainConfig, evaluate, grid_search, model_grad_check,
                          train, train_multi_seed, write_metrics_csv)
@@ -150,7 +151,7 @@ def cmd_train(cfg: RunConfig) -> int:
               f"hr@{mean.k} {mean.hr_at_k:.4f} ndcg@{mean.k} {mean.ndcg_at_k:.4f} "
               f"mrr@{mean.k} {mean.mrr_at_k:.4f}")
     else:
-        model = build_variant(model_cfg, seed=train_cfg.seed)
+        model = MlsaModel(model_cfg, seed=train_cfg.seed)
         result = train(model, ds, split, train_cfg, log=print)
         rows = result.history
         rep = evaluate(model, split, "test", k=train_cfg.k,
@@ -174,7 +175,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.checkpoint:
         raise ValueError("eval needs checkpoint=...")
     ds, split = _load_data(cfg)
-    model = build_variant(cfg.to_model_config(ds.vocab_size), seed=cfg.seed)
+    model = MlsaModel(cfg.to_model_config(ds.vocab_size), seed=cfg.seed)
     store = load_checkpoint(cfg.checkpoint)
     model.params.load_values(store.snapshot())
     for phase in ("valid", "test"):
@@ -251,25 +252,16 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    from dataclasses import replace
-
     ds, split = _load_data(cfg)
     train_cfg = cfg.to_train_config()
     if cfg.full and train_cfg.n_seeds == 1:
         # extended run: average each variant over 4 independent seeds
         train_cfg = replace(train_cfg, n_seeds=4)
+    base_cfg = cfg.to_model_config(ds.vocab_size)
     rows = []
     for variant in VARIANTS:
-        model_cfg = cfg.to_model_config(ds.vocab_size)
-        model_cfg.variant = variant
-        if train_cfg.n_seeds > 1:
-            mean, _, _ = train_multi_seed(model_cfg, ds, split, train_cfg)
-            rep = mean
-        else:
-            model = build_variant(model_cfg, seed=train_cfg.seed)
-            train(model, ds, split, train_cfg)
-            rep = evaluate(model, split, "test", k=train_cfg.k,
-                           mask_history=train_cfg.mask_history)
+        rep, _, _ = train_multi_seed(replace(base_cfg, variant=variant), ds,
+                                     split, train_cfg)
         rows.append({"variant": variant, f"hr@{rep.k}": rep.hr_at_k,
                      f"ndcg@{rep.k}": rep.ndcg_at_k, f"mrr@{rep.k}": rep.mrr_at_k})
         print(f"{variant}: hr@{rep.k} {rep.hr_at_k:.4f} "

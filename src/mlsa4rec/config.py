@@ -8,7 +8,7 @@ command-line overrides.  Unknown keys are rejected everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .model import ModelConfig
@@ -32,9 +32,6 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
     "d_conv": (4, int, "causal depthwise conv kernel size"),
     "dropout": (0.0, float, "dropout rate in [0,1)"),
     "variant": ("default", str, "architecture: default|v1|v2|v3|v4"),
-    "use_skip": (True, bool, "include the per-channel skip term in the scan"),
-    "per_head_theta": (False, bool, "separate interest prototypes per head"),
-    "fresh_mlp1": (False, bool, "untie the gate projection reused in the fuse step"),
     "freeze_padding": (False, bool, "pin the padding embedding row to zero"),
     # training
     "lr": (0.001, float, "Adam learning rate"),
@@ -105,14 +102,11 @@ class RunConfig:
             raise AttributeError(key) from None
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            vocab_size=vocab_size, max_len=v["max_len"], d_model=v["d_model"],
-            d_state=v["d_state"], n_interests=v["n_interests"],
-            n_heads=v["n_heads"], n_layers=v["n_layers"], expand=v["expand"],
-            d_conv=v["d_conv"], dropout=v["dropout"], variant=v["variant"],
-            use_skip=v["use_skip"], per_head_theta=v["per_head_theta"],
-            fresh_mlp1=v["fresh_mlp1"], freeze_padding=v["freeze_padding"])
+        """Every ModelConfig field but vocab_size is the config key of the
+        same name."""
+        return ModelConfig(vocab_size=vocab_size, **{
+            f.name: self.values[f.name] for f in fields(ModelConfig)
+            if f.name != "vocab_size"})
 
     def to_train_config(self) -> TrainConfig:
         v = self.values

@@ -28,7 +28,7 @@ class SsmParams:
     proj_c: Tensor           # [E_inner, N]
     proj_delta_w: Tensor     # [E_inner, E_inner]
     proj_delta_b: Tensor     # [E_inner]
-    skip_d: Tensor | None    # [E_inner], None disables the skip term
+    skip_d: Tensor           # [E_inner]
     d_state: int
 
 
@@ -42,8 +42,8 @@ class MambaParams:
     e_inner: int
 
 
-def init_ssm(store: ParameterStore, prefix: str, e_inner: int, d_state: int,
-             use_skip: bool = True) -> SsmParams:
+def init_ssm(store: ParameterStore, prefix: str, e_inner: int,
+             d_state: int) -> SsmParams:
     a_log = store.add(f"{prefix}.a_log",
                       np.tile(np.log(np.arange(1, d_state + 1)), (e_inner, 1)))
     proj_b = store.uniform(f"{prefix}.proj_B.w", (e_inner, d_state), e_inner)
@@ -53,18 +53,18 @@ def init_ssm(store: ParameterStore, prefix: str, e_inner: int, d_state: int,
     lo, hi = np.log(DELTA_INIT_RANGE[0]), np.log(DELTA_INIT_RANGE[1])
     dt0 = np.exp(store.rng.uniform(lo, hi, size=e_inner))
     proj_delta_b = store.add(f"{prefix}.proj_delta.b", np.log(np.expm1(dt0)))
-    skip_d = store.add(f"{prefix}.skip_d", np.ones(e_inner)) if use_skip else None
+    skip_d = store.add(f"{prefix}.skip_d", np.ones(e_inner))
     return SsmParams(a_log, proj_b, proj_c, proj_delta_w, proj_delta_b,
                      skip_d, d_state)
 
 
 def init_mamba(store: ParameterStore, prefix: str, d_model: int, d_state: int,
-               d_conv: int, expand: int, use_skip: bool = True) -> MambaParams:
+               d_conv: int, expand: int) -> MambaParams:
     e_inner = expand * d_model
     in_proj = store.uniform(f"{prefix}.in_proj.w", (d_model, 2 * e_inner), d_model)
     conv_w = store.uniform(f"{prefix}.conv.w", (e_inner, d_conv), d_conv)
     conv_b = store.zeros(f"{prefix}.conv.b", (e_inner,))
-    ssm = init_ssm(store, f"{prefix}.ssm", e_inner, d_state, use_skip)
+    ssm = init_ssm(store, f"{prefix}.ssm", e_inner, d_state)
     out_proj = store.uniform(f"{prefix}.out_proj.w", (e_inner, d_model), e_inner)
     return MambaParams(in_proj, conv_w, conv_b, ssm, out_proj, e_inner)
 
@@ -124,9 +124,7 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
     delta = T.softplus(T.add(T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b))
     a = T.neg(T.exp(ssm.a_log))
     y = _scan_op(x, delta, a, bm, cm)
-    if ssm.skip_d is not None:
-        y = T.add(y, T.mul(x, ssm.skip_d))
-    return y
+    return T.add(y, T.mul(x, ssm.skip_d))
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -40,9 +40,6 @@ class ModelConfig:
     d_conv: int = 4
     dropout: float = 0.0
     variant: str = "default"
-    use_skip: bool = True
-    per_head_theta: bool = False
-    fresh_mlp1: bool = False
     freeze_padding: bool = False
 
     def validate(self) -> None:
@@ -101,23 +98,18 @@ class MlsaModel:
 
         self.il_mamba: MambaParams | None = None
         self.il_lsa: LsaParams | None = None
-        self.mlp1 = self.mlp1_alt = self.mlp2 = self.mlp3 = None
+        self.mlp1 = self.mlp2 = self.mlp3 = None
         self.lns: dict[str, tuple[Tensor, Tensor]] = {}
 
         if c.variant != "v2":
             self.il_mamba = init_mamba(store, "il.mamba", c.d_model, c.d_state,
-                                       c.d_conv, c.expand, c.use_skip)
+                                       c.d_conv, c.expand)
         self._add_ln("il.ln1")
         if c.variant != "v1":
             self.il_lsa = init_lsa(store, "il.lsa", c.d_model, c.n_interests,
-                                   c.n_heads, with_theta=(c.variant != "v3"),
-                                   per_head_theta=c.per_head_theta)
+                                   c.n_heads, with_theta=(c.variant != "v3"))
             self.mlp1 = (store.uniform("il.mlp1.w", (c.d_model, c.d_model), c.d_model),
                          store.zeros("il.mlp1.b", (c.d_model,)))
-            if c.fresh_mlp1:
-                self.mlp1_alt = (
-                    store.uniform("il.mlp1_alt.w", (c.d_model, c.d_model), c.d_model),
-                    store.zeros("il.mlp1_alt.b", (c.d_model,)))
             self.mlp2 = (store.uniform("il.mlp2.w", (2 * c.d_model, c.d_model),
                                        2 * c.d_model),
                          store.zeros("il.mlp2.b", (c.d_model,)))
@@ -139,7 +131,7 @@ class MlsaModel:
                 layer = StackLayer(None, pffn, *self._new_ln(f"stack.{b}.ln"))
             else:
                 mp = init_mamba(store, f"stack.{b}.mamba", c.d_model, c.d_state,
-                                c.d_conv, c.expand, c.use_skip)
+                                c.d_conv, c.expand)
                 layer = StackLayer(mp, None, *self._new_ln(f"stack.{b}.ln"))
             self.stack.append(layer)
 
@@ -212,10 +204,8 @@ class MlsaModel:
             gated_norm = self._drop(self._ln("il.ln3", gated), training)
             inter["gated_norm"] = gated_norm
 
-            gate2 = gate if self.mlp1_alt is None \
-                else T.gelu(_linear(h_attn, *self.mlp1_alt))
             fused = self._ln("il.ln4", T.add(
-                _linear(T.concat_last([gated_norm, gate2]), *self.mlp2),
+                _linear(T.concat_last([gated_norm, gate]), *self.mlp2),
                 _linear(e, *self.mlp3)))
             fused = self._drop(fused, training)
             inter["fused"] = fused
@@ -246,70 +236,20 @@ class MlsaModel:
             logits, _ = self.forward(ids, training=False)
             return T.softmax(logits, axis=-1).data
 
-    # -- store management ------------------------------------------------
-
-    def rebind(self) -> None:
-        """Point every parameter reference at the current store's entries.
-
-        Needed after swapping self.params for another store with the
-        same manifest (precision change, checkpoint surgery).
-        """
-        from .mamba import SsmParams
-        p = self.params
-
-        def ssm(prefix: str, old: SsmParams) -> SsmParams:
-            return SsmParams(
-                p[f"{prefix}.a_log"], p[f"{prefix}.proj_B.w"],
-                p[f"{prefix}.proj_C.w"], p[f"{prefix}.proj_delta.w"],
-                p[f"{prefix}.proj_delta.b"],
-                p[f"{prefix}.skip_d"] if old.skip_d is not None else None,
-                old.d_state)
-
-        def mamba(prefix: str, old: MambaParams) -> MambaParams:
-            return MambaParams(
-                p[f"{prefix}.in_proj.w"], p[f"{prefix}.conv.w"],
-                p[f"{prefix}.conv.b"], ssm(f"{prefix}.ssm", old.ssm),
-                p[f"{prefix}.out_proj.w"], old.e_inner)
-
-        self.embedding = p["embedding.M"]
-        if self.il_mamba is not None:
-            self.il_mamba = mamba("il.mamba", self.il_mamba)
-        if self.il_lsa is not None:
-            old = self.il_lsa
-            self.il_lsa = LsaParams(
-                p["il.lsa.theta"] if old.theta is not None else None,
-                p["il.lsa.w_q"], p["il.lsa.w_k"], p["il.lsa.w_v"],
-                old.n_heads, old.n_interests, old.per_head_theta)
-        for attr, name in (("mlp1", "il.mlp1"), ("mlp1_alt", "il.mlp1_alt"),
-                           ("mlp2", "il.mlp2"), ("mlp3", "il.mlp3")):
-            if getattr(self, attr) is not None:
-                setattr(self, attr, (p[f"{name}.w"], p[f"{name}.b"]))
-        for name in list(self.lns):
-            self.lns[name] = (p[f"{name}.g"], p[f"{name}.b"])
-        for b, layer in enumerate(self.stack):
-            layer.ln_g = p[f"stack.{b}.ln.g"]
-            layer.ln_b = p[f"stack.{b}.ln.b"]
-            if layer.mamba is not None:
-                layer.mamba = mamba(f"stack.{b}.mamba", layer.mamba)
-            else:
-                layer.pffn = PffnParams(
-                    p[f"stack.{b}.pffn.w1"], p[f"stack.{b}.pffn.b1"],
-                    p[f"stack.{b}.pffn.w2"], p[f"stack.{b}.pffn.b2"])
-        self.head_w = p["head.W"]
-        self.head_b = p["head.b"]
-
     def cast_float64(self) -> None:
-        """Swap to a float64 copy of the parameters (gradient checking)."""
-        self.params = self.params.astype(np.float64)
-        self.rebind()
+        """Cast every parameter to float64 in place (gradient checking).
+
+        The model's fields hold the store's Tensor objects, so they see
+        the new precision without rewiring.
+        """
+        store = self.params
+        store.dtype = np.dtype(np.float64)
+        for t in store.entries.values():
+            t.data = t.data.astype(np.float64)
+            t.grad = np.zeros_like(t.data)
 
     def score(self, ids: np.ndarray) -> np.ndarray:
         """Raw item scores (logits); ranking-equivalent to predict()."""
         with T.no_grad():
             logits, _ = self.forward(ids, training=False)
             return logits.data
-
-
-def build_variant(config: ModelConfig, seed: int = 0) -> MlsaModel:
-    """Construct the requested architecture variant."""
-    return MlsaModel(config, seed)

@@ -452,8 +452,7 @@ class ParameterStore:
 
     def __init__(self, rng_seed: int = 0, dtype=DEFAULT_DTYPE):
         self.entries: dict[str, Tensor] = {}
-        self.rng_seed = int(rng_seed)
-        self.rng = np.random.default_rng(self.rng_seed)
+        self.rng = np.random.default_rng(int(rng_seed))
         self.dtype = np.dtype(dtype)
 
     def add(self, name: str, data) -> Tensor:
@@ -487,17 +486,15 @@ class ParameterStore:
     def num_params(self) -> int:
         return sum(t.data.size for t in self.entries.values())
 
-    def astype(self, dtype) -> "ParameterStore":
-        """Copy of this store (values only) in another precision."""
-        out = ParameterStore(self.rng_seed, dtype=dtype)
-        for name, t in self.entries.items():
-            out.add(name, t.data.astype(dtype))
-        return out
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.entries.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter; values must name all of them and no others."""
+        missing = [name for name in self.entries if name not in values]
+        if missing:
+            raise KeyError(f"values lack {len(missing)} parameter(s): "
+                           + ", ".join(missing))
         for name, arr in values.items():
             if name not in self.entries:
                 raise KeyError(f"unknown parameter: {name}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, Split, pad_truncate
-from .model import MlsaModel, ModelConfig, build_variant
+from .model import MlsaModel, ModelConfig
 from .tensor import ParameterStore, Tensor
 
 
@@ -232,7 +232,7 @@ def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
     reports, rows = [], []
     for s in range(cfg.n_seeds):
         run_cfg = replace(cfg, seed=cfg.seed + s, n_seeds=1)
-        model = build_variant(model_cfg, seed=run_cfg.seed)
+        model = MlsaModel(model_cfg, seed=run_cfg.seed)
         result = train(model, dataset, split, run_cfg, log=log)
         rows.extend(result.history)
         rep = evaluate(model, split, "test", k=cfg.k,
@@ -275,7 +275,7 @@ def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         t_over = {k: v for k, v in cell.items() if GRID_KEYS[k] == "train"}
         mc = replace(model_cfg, **m_over)
         tc = replace(train_cfg, **t_over)
-        model = build_variant(mc, seed=tc.seed)
+        model = MlsaModel(mc, seed=tc.seed)
         result = train(model, dataset, split, tc, log=log)
         row = dict(cell)
         row.update(ndcg=result.best_valid.ndcg_at_k, hr=result.best_valid.hr_at_k,
@@ -299,7 +299,7 @@ def model_grad_check(model_cfg: ModelConfig, ids: np.ndarray,
     cross-entropy loss on (ids, targets) against central differences on
     n_samples randomly chosen parameter coordinates.
     """
-    model = build_variant(model_cfg, seed=seed)
+    model = MlsaModel(model_cfg, seed=seed)
     model.cast_float64()
 
     def loss_fn(_store):

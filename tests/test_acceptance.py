@@ -25,7 +25,7 @@ from mlsa4rec.data import (build_split, dataset_stats, kcore_filter,
                            parse_amazon, parse_movielens,
                            synthetic_successor_dataset)
 from mlsa4rec.mamba import init_mamba, mamba_block
-from mlsa4rec.model import MlsaModel, ModelConfig, build_variant
+from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.tensor import ParameterStore, Tensor
 from mlsa4rec.train_eval import (TrainConfig, evaluate, metrics_at_k,
                                  model_grad_check, train)
@@ -313,7 +313,7 @@ def test_criterion_08_learning_sanity():
     for variant in ("default", "v1", "v2"):
         cfg = ModelConfig(vocab_size=ds.vocab_size, max_len=50, d_model=64,
                           d_state=32, n_layers=0, variant=variant)
-        model = build_variant(cfg, seed=0)
+        model = MlsaModel(cfg, seed=0)
         fit = train(model, ds, split, train_cfg)
         results[variant] = fit
         if variant == "default":

@@ -110,25 +110,6 @@ class TestLsaOracle:
             single = lsa_attention(Tensor(x[b]), p).data
             np.testing.assert_allclose(batched[b], single, rtol=1e-10, atol=1e-12)
 
-    def test_per_head_prototypes(self):
-        rng = np.random.default_rng(4)
-        n_heads, n_int, d_model, seq = 2, 3, 8, 5
-        _, p = make_params(seed=5, per_head_theta=True)
-        x = rng.standard_normal((seq, d_model))
-        got = lsa_attention(Tensor(x), p).data
-        # independent reference: each head assigns with its own prototype rows
-        d_head = d_model // n_heads
-        q, k, v = x @ p.w_q.data, x @ p.w_k.data, x @ p.w_v.data
-        expect = np.zeros((seq, d_model))
-        for h in range(n_heads):
-            cols = slice(h * d_head, (h + 1) * d_head)
-            th = p.theta.data[h * n_int:(h + 1) * n_int]   # [P, d_head]
-            z = _softmax_rows(k[:, cols] @ th.T)
-            kp, vp = z.T @ k[:, cols], z.T @ v[:, cols]
-            scores = q[:, cols] @ kp.T / np.sqrt(d_head)
-            expect[:, cols] = _softmax_rows(scores) @ vp
-        np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-11)
-
     def test_requires_prototypes(self):
         _, p = make_params()
         p.theta = None

@@ -128,6 +128,17 @@ class TestTrainEvalCli:
         assert "valid: hr@10" in out
         assert "test: hr@10" in out
 
+    def test_eval_rejects_checkpoint_missing_layers(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        code, _, _ = run(["train"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                         + ["--checkpoint", ckpt], capsys)
+        assert code == 0
+        code, out, err = run(["eval"] + TINY_DATA + TINY_MODEL
+                             + ["--n-layers", "1", "--checkpoint", ckpt], capsys)
+        assert code == 1
+        assert "stack.0.mamba.in_proj.w" in err
+        assert "hr@10" not in out
+
     def test_eval_requires_checkpoint(self, capsys):
         code, _, err = run(["eval"] + TINY_DATA + TINY_MODEL, capsys)
         assert code == 1

@@ -1,9 +1,12 @@
 """Run-configuration schema: defaults, file parsing, precedence, conversion."""
 
+from dataclasses import fields
+
 import pytest
 
 from mlsa4rec.config import (ConfigError, SCHEMA, build_config, describe_keys,
                              parse_config_file)
+from mlsa4rec.model import ModelConfig
 
 
 class TestDefaults:
@@ -27,18 +30,22 @@ class TestDefaults:
 
 class TestConversion:
     def test_int_float_bool(self):
-        cfg = build_config(overrides={"d_model": "128", "lr": "0.01",
-                                      "use_skip": "off", "mask_history": "yes"})
+        # the file sets freeze_padding on, so reading False shows the
+        # override's "off" was parsed, not the default kept
+        cfg = build_config(file_values={"freeze_padding": "on"},
+                           overrides={"d_model": "128", "lr": "0.01",
+                                      "freeze_padding": "off",
+                                      "mask_history": "yes"})
         assert cfg.d_model == 128
         assert cfg.lr == pytest.approx(0.01)
-        assert cfg.use_skip is False
+        assert cfg.freeze_padding is False
         assert cfg.mask_history is True
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError, match="int"):
             build_config(overrides={"d_model": "sixty-four"})
         with pytest.raises(ConfigError, match="boolean"):
-            build_config(overrides={"use_skip": "maybe"})
+            build_config(overrides={"freeze_padding": "maybe"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -88,6 +95,24 @@ class TestTranslation:
         assert mc.variant == "v3"
         assert mc.dropout == pytest.approx(0.2)
         mc.validate()
+
+    def test_every_model_field_is_a_key(self):
+        model_fields = [f for f in fields(ModelConfig) if f.name != "vocab_size"]
+        assert model_fields
+        for f in model_fields:
+            assert f.name in SCHEMA
+            assert SCHEMA[f.name][0] == f.default, f.name
+        changed = {}
+        for f in model_fields:
+            default = f.default
+            changed[f.name] = (not default if isinstance(default, bool)
+                               else default + 1 if isinstance(default, int)
+                               else default + 0.25 if isinstance(default, float)
+                               else default + "x")
+        mc = build_config(overrides=changed).to_model_config(vocab_size=7)
+        assert mc.vocab_size == 7
+        for name, value in changed.items():
+            assert getattr(mc, name) == value, name
 
     def test_to_train_config(self):
         cfg = build_config(overrides={"lr": "0.01", "seeds": "3",

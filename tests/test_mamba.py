@@ -39,9 +39,7 @@ def naive_selective_scan(x, ssm):
     delta = np.logaddexp(0.0, pre)
     a = -np.exp(ssm.a_log.data.astype(np.float64))
     y = naive_scan(xd, delta, a, bm, cm)
-    if ssm.skip_d is not None:
-        y = y + ssm.skip_d.data * xd
-    return y
+    return y + ssm.skip_d.data * xd
 
 
 class TestDiscretizeZoh:
@@ -119,12 +117,13 @@ class TestScanRecurrence:
                                    rtol=1e-9, atol=1e-11)
 
     def test_skip_connection_switch(self):
+        # skip_d starts at ones, so zeroing it removes exactly x
         rng = np.random.default_rng(13)
         x = rng.standard_normal((4, 3))
-        with_skip = init_ssm(ParameterStore(5, np.float64), "s", 3, 2, use_skip=True)
-        without = init_ssm(ParameterStore(5, np.float64), "s", 3, 2, use_skip=False)
-        y_with = selective_scan(Tensor(x), with_skip).data
-        y_without = selective_scan(Tensor(x), without).data
+        ssm = init_ssm(ParameterStore(5, np.float64), "s", 3, 2)
+        y_with = selective_scan(Tensor(x), ssm).data
+        ssm.skip_d.data[...] = 0.0
+        y_without = selective_scan(Tensor(x), ssm).data
         np.testing.assert_allclose(y_with - y_without, x, rtol=1e-9, atol=1e-12)
 
     def test_discrete_pole_inside_unit_interval(self):

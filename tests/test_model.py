@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erf
 
 from mlsa4rec import tensor as T
-from mlsa4rec.model import MlsaModel, ModelConfig, VARIANTS, build_variant
+from mlsa4rec.model import MlsaModel, ModelConfig, VARIANTS
 from mlsa4rec.tensor import load_checkpoint, save_checkpoint
 
 
@@ -58,8 +58,7 @@ def np_mamba(x, p):
         b_bar = (a_bar - 1.0) / a * bm[t][None, :]
         h = a_bar * h + b_bar * u2[t][:, None]
         y[t] = h @ cm[t]
-    if ssm.skip_d is not None:
-        y = y + ssm.skip_d.data * u2
+    y = y + ssm.skip_d.data * u2
     return (y * np_silu(z)) @ p.out_proj.data
 
 
@@ -205,7 +204,7 @@ class TestVariants:
         ids = np.array([[1, 2, 3], [4, 5, 6]])
         outs = {}
         for v in VARIANTS:
-            model = build_variant(small_config(variant=v), seed=0)
+            model = MlsaModel(small_config(variant=v), seed=0)
             logits, _ = model.forward(ids)
             assert logits.data.shape == (2, 20)
             outs[v] = logits.data
@@ -213,23 +212,23 @@ class TestVariants:
             assert not np.allclose(outs["default"], outs[v])
 
     def test_v1_has_no_attention_parameters(self):
-        names = build_variant(small_config(variant="v1")).params.names()
+        names = MlsaModel(small_config(variant="v1")).params.names()
         assert not any(".lsa." in n or ".mlp" in n for n in names)
         assert any("il.mamba" in n for n in names)
 
     def test_v2_has_no_state_space_parameters(self):
-        names = build_variant(small_config(variant="v2")).params.names()
+        names = MlsaModel(small_config(variant="v2")).params.names()
         assert not any(".mamba." in n or ".ssm." in n for n in names)
         assert any(".pffn." in n for n in names)
         assert any(".lsa." in n for n in names)
 
     def test_v3_uses_attention_without_prototypes(self):
-        names = build_variant(small_config(variant="v3")).params.names()
+        names = MlsaModel(small_config(variant="v3")).params.names()
         assert "il.lsa.theta" not in names
         assert "il.lsa.w_q" in names
 
     def test_v4_swaps_stack_only(self):
-        names = build_variant(small_config(variant="v4")).params.names()
+        names = MlsaModel(small_config(variant="v4")).params.names()
         assert any(n.startswith("il.mamba") for n in names)
         assert any(".pffn." in n for n in names)
         assert not any(n.startswith("stack.") and ".mamba." in n for n in names)
@@ -240,8 +239,8 @@ class TestVariants:
         # the two architectures numerically identical
         cfg_d = small_config(variant="default", n_interests=1, n_layers=1)
         cfg_3 = small_config(variant="v3", n_interests=1, n_layers=1)
-        m_d = build_variant(cfg_d, seed=13)
-        m_3 = build_variant(cfg_3, seed=14)
+        m_d = MlsaModel(cfg_d, seed=13)
+        m_3 = MlsaModel(cfg_3, seed=14)
         shared = {n: v.data.copy() for n, v in m_d.params.entries.items()
                   if n != "il.lsa.theta"}
         m_3.params.load_values(shared)
@@ -250,7 +249,7 @@ class TestVariants:
                                    rtol=1e-5, atol=1e-6)
 
     def test_parameter_manifest_default(self):
-        model = build_variant(small_config(n_layers=2))
+        model = MlsaModel(small_config(n_layers=2))
         names = set(model.params.names())
         mamba_leaves = ["in_proj.w", "conv.w", "conv.b", "ssm.a_log",
                         "ssm.proj_B.w", "ssm.proj_C.w", "ssm.proj_delta.w",
@@ -265,15 +264,6 @@ class TestVariants:
             expect |= {f"stack.{b}.mamba.{leaf}" for leaf in mamba_leaves}
             expect |= {f"stack.{b}.ln.g", f"stack.{b}.ln.b"}
         assert names == expect
-
-    def test_config_switches_add_parameters(self):
-        base = set(build_variant(small_config()).params.names())
-        fresh = set(build_variant(small_config(fresh_mlp1=True)).params.names())
-        assert fresh - base == {"il.mlp1_alt.w", "il.mlp1_alt.b"}
-        noskip = set(build_variant(small_config(use_skip=False)).params.names())
-        assert base - noskip == {"il.mamba.ssm.skip_d", "stack.0.mamba.ssm.skip_d"}
-        per_head = build_variant(small_config(per_head_theta=True))
-        assert per_head.params["il.lsa.theta"].data.shape == (2 * 2, 4)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -352,19 +352,34 @@ class TestParameterStore:
     def test_load_rejects_unknown_and_mismatch(self):
         store = ParameterStore(0)
         store.zeros("w", (2,))
-        with pytest.raises(KeyError):
-            store.load_values({"nope": np.zeros(2)})
+        with pytest.raises(KeyError, match="nope"):
+            store.load_values({"w": np.zeros(2), "nope": np.zeros(2)})
         with pytest.raises(ShapeError):
             store.load_values({"w": np.zeros(3)})
 
-    def test_astype_copies_values(self):
+    def test_load_rejects_missing_names(self):
         store = ParameterStore(0)
-        store.uniform("w", (4,), 4)
-        s64 = store.astype(np.float64)
-        assert s64["w"].data.dtype == np.float64
-        np.testing.assert_allclose(s64["w"].data, store["w"].data, rtol=1e-7)
-        s64["w"].data += 1.0
-        assert not np.allclose(s64["w"].data, store["w"].data)
+        store.zeros("w", (2,))
+        store.zeros("v", (3,))
+        store.zeros("u", (1,))
+        with pytest.raises(KeyError, match="v, u"):
+            store.load_values({"w": np.ones(2)})
+        np.testing.assert_array_equal(store["w"].data, 0.0)
+
+    def test_cast_float64_casts_in_place(self):
+        from mlsa4rec.model import MlsaModel, ModelConfig
+        model = MlsaModel(ModelConfig(vocab_size=12, max_len=4, d_model=8,
+                                      d_state=2, n_interests=2, n_layers=1),
+                          seed=0)
+        before = model.params.snapshot()
+        model.cast_float64()
+        assert model.params.dtype == np.float64
+        for name, t in model.params.entries.items():
+            assert t.data.dtype == np.float64 and t.grad.dtype == np.float64
+            np.testing.assert_array_equal(t.data, before[name])
+        assert model.embedding is model.params["embedding.M"]
+        assert model.stack[0].mamba.ssm.a_log is \
+            model.params["stack.0.mamba.ssm.a_log"]
 
 
 class TestGradCheckHarness:

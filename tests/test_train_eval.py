@@ -5,7 +5,7 @@ import pytest
 
 from mlsa4rec import tensor as T
 from mlsa4rec.data import synthetic_successor_dataset
-from mlsa4rec.model import ModelConfig, build_variant
+from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.tensor import ParameterStore, Tensor
 from mlsa4rec.train_eval import (Adam, TrainConfig, build_training_examples,
                                  ce_loss, evaluate, grid_search, metrics_at_k,
@@ -227,7 +227,7 @@ class TestTrainingExamples:
 class TestTrainLoop:
     def test_loss_decreases_and_history_recorded(self):
         ds, split = tiny_data()
-        model = build_variant(tiny_model_config(ds.vocab_size), seed=0)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=0)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs=5, patience=5, seed=0)
         result = train(model, ds, split, cfg)
         losses = [row["loss"] for row in result.history]
@@ -237,7 +237,7 @@ class TestTrainLoop:
 
     def test_first_epoch_loss_near_log_vocab(self):
         ds, split = tiny_data(n_items=50, n_users=30)
-        model = build_variant(tiny_model_config(ds.vocab_size), seed=1)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=1)
         cfg = TrainConfig(lr=1e-5, batch_size=64, epochs=1, patience=1, seed=1)
         result = train(model, ds, split, cfg)
         assert result.history[0]["loss"] == pytest.approx(np.log(51), rel=0.10)
@@ -246,14 +246,14 @@ class TestTrainLoop:
         ds, split = tiny_data()
         losses = []
         for _ in range(2):
-            model = build_variant(tiny_model_config(ds.vocab_size), seed=7)
+            model = MlsaModel(tiny_model_config(ds.vocab_size), seed=7)
             cfg = TrainConfig(lr=0.01, batch_size=16, epochs=1, seed=7)
             losses.append(train(model, ds, split, cfg).history[0]["loss"])
         assert losses[0] == losses[1]
 
     def test_model_left_on_best_weights(self):
         ds, split = tiny_data()
-        model = build_variant(tiny_model_config(ds.vocab_size), seed=2)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=2)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs=4, patience=4, seed=2)
         result = train(model, ds, split, cfg)
         rep = evaluate(model, split, "valid", k=10)
@@ -262,7 +262,7 @@ class TestTrainLoop:
 
     def test_early_stopping_halts(self):
         ds, split = tiny_data(n_users=10)
-        model = build_variant(tiny_model_config(ds.vocab_size), seed=3)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=3)
         # zero learning rate: metrics never improve after the first epoch
         cfg = TrainConfig(lr=1e-12, batch_size=16, epochs=50, patience=2, seed=3)
         result = train(model, ds, split, cfg)
@@ -270,7 +270,7 @@ class TestTrainLoop:
 
     def test_padding_row_stays_frozen(self):
         ds, split = tiny_data()
-        model = build_variant(
+        model = MlsaModel(
             tiny_model_config(ds.vocab_size, freeze_padding=True), seed=4)
         cfg = TrainConfig(lr=0.05, batch_size=16, epochs=2, seed=4)
         train(model, ds, split, cfg)
