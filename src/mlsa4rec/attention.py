@@ -18,6 +18,8 @@ from .tensor import ParameterStore, Tensor
 
 log = logging.getLogger(__name__)
 
+MASKED_SCORE = -1e9     # finite, so a row of masked keys stays a distribution
+
 
 @dataclass
 class LsaParams:
@@ -42,14 +44,18 @@ def init_lsa(store: ParameterStore, prefix: str, d_model: int, n_interests: int,
     return LsaParams(theta, w_q, w_k, w_v, n_heads, n_interests)
 
 
-def interest_aggregate(hmat: Tensor, theta: Tensor) -> tuple[Tensor, Tensor]:
+def interest_aggregate(hmat: Tensor, theta: Tensor, keep: np.ndarray | None = None
+                       ) -> tuple[Tensor, Tensor]:
     """Soft-assign each row of hmat to interests, then pool rows per interest.
 
     Returns (z, pooled): z[t] is a distribution over interests for row t
     (softmax of hmat @ theta^T), pooled = z^T @ hmat with one row per
-    interest.
+    interest.  Rows where keep ([.., L, 1], boolean) is false get z = 0,
+    so they add nothing to the pools.
     """
     z = T.softmax(T.matmul(hmat, T.transpose_last(theta)), axis=-1)
+    if keep is not None:
+        z = T.masked_fill(z, keep)
     pooled = T.matmul(T.transpose_last(z), hmat)
     return z, pooled
 
@@ -59,12 +65,14 @@ def _split_heads(x: Tensor, n_heads: int) -> list[Tensor]:
     return [T.slice_last(x, i * d_head, (i + 1) * d_head) for i in range(n_heads)]
 
 
-def lsa_attention(x: Tensor, p: LsaParams) -> Tensor:
+def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
+                  ) -> Tensor:
     """Attention through the interest bottleneck; [.., L, D] -> same shape.
 
     One assignment z is computed from the keys and reused to pool both
     keys and values; each head then attends over its slice of the P
-    pooled rows.
+    pooled rows.  Positions where keep ([.., L, 1], boolean) is false are
+    left out of the pools.
     """
     if p.theta is None:
         raise ValueError("lsa_attention requires interest prototypes")
@@ -78,7 +86,7 @@ def lsa_attention(x: Tensor, p: LsaParams) -> Tensor:
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
     inv_scale = 1.0 / np.sqrt(d_head)
-    z, k_pool = interest_aggregate(k, p.theta)
+    z, k_pool = interest_aggregate(k, p.theta, keep)
     v_pool = T.matmul(T.transpose_last(z), v)
     outs = []
     for qi, kpi, vpi in zip(_split_heads(q, p.n_heads),
@@ -90,18 +98,27 @@ def lsa_attention(x: Tensor, p: LsaParams) -> Tensor:
     return T.concat_last(outs)
 
 
-def vanilla_attention(x: Tensor, p: LsaParams) -> Tensor:
-    """Standard multi-head attention over all positions (no mask)."""
+def vanilla_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
+                      ) -> Tensor:
+    """Standard multi-head attention over all positions.
+
+    Keys where keep ([.., L, 1], boolean) is false get a score of
+    MASKED_SCORE, so their weight underflows to exactly zero whenever a
+    real key is present.
+    """
     d_head = x.shape[-1] // p.n_heads
     q = T.matmul(x, p.w_q)
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
     inv_scale = 1.0 / np.sqrt(d_head)
+    keep_keys = None if keep is None else np.swapaxes(keep, -1, -2)
     outs = []
     for qi, ki, vi in zip(_split_heads(q, p.n_heads),
                           _split_heads(k, p.n_heads),
                           _split_heads(v, p.n_heads)):
-        attn = T.softmax(
-            T.scale(T.matmul(qi, T.transpose_last(ki)), inv_scale), axis=-1)
+        scores = T.scale(T.matmul(qi, T.transpose_last(ki)), inv_scale)
+        if keep_keys is not None:
+            scores = T.masked_fill(scores, keep_keys, MASKED_SCORE)
+        attn = T.softmax(scores, axis=-1)
         outs.append(T.matmul(attn, vi))
     return T.concat_last(outs)

@@ -32,7 +32,9 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
     "d_conv": (4, int, "causal depthwise conv kernel size"),
     "dropout": (0.0, float, "dropout rate in [0,1)"),
     "variant": ("default", str, "architecture: default|v1|v2|v3|v4"),
-    "freeze_padding": (False, bool, "pin the padding embedding row to zero"),
+    "freeze_padding": (False, bool,
+                       "pin the padding embedding row at zero; scores never "
+                       "depend on it"),
     # training
     "lr": (0.001, float, "Adam learning rate"),
     "batch_size": (128, int, "training batch size"),

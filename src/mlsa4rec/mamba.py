@@ -112,16 +112,21 @@ def _scan_op(u: Tensor, delta: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Ten
     return T.make_op(out, (u, delta, a, bm, cm), bwd, "selective_scan")
 
 
-def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
+def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
+                   ) -> Tensor:
     """Content-dependent state recurrence over the time axis.
 
     Per position: state maps come from linear projections of x, the
     timescale from a softplus-rectified projection; dynamics are
     discretized by zero-order hold and the state advanced causally.
+    Where keep ([.., L, 1], boolean) is false the timescale is zero, so
+    the step leaves the state exactly as it was (a_bar = 1, no input).
     """
     bm = T.matmul(x, ssm.proj_b)
     cm = T.matmul(x, ssm.proj_c)
     delta = T.softplus(T.add(T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b))
+    if keep is not None:
+        delta = T.masked_fill(delta, keep)
     a = T.neg(T.exp(ssm.a_log))
     y = _scan_op(x, delta, a, bm, cm)
     return T.add(y, T.mul(x, ssm.skip_d))
@@ -160,12 +165,21 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return T.make_op(out[0] if squeeze else out, (x, kernel, bias), bwd, "causal_conv")
 
 
-def mamba_block(x: Tensor, p: MambaParams) -> Tensor:
-    """Project in, mix causally, scan, gate, project out.  [.., L, D] -> same."""
+def mamba_block(x: Tensor, p: MambaParams, keep: np.ndarray | None = None
+                ) -> Tensor:
+    """Project in, mix causally, scan, gate, project out.  [.., L, D] -> same.
+
+    keep ([.., L, 1], boolean) marks real positions.  Masked positions
+    enter the convolution as zeros, like its own left padding, and leave
+    the scan state untouched, so the outputs at real positions are those
+    of the real positions alone.
+    """
     xz = T.matmul(x, p.in_proj)
     u = T.slice_last(xz, 0, p.e_inner)
     z = T.slice_last(xz, p.e_inner, 2 * p.e_inner)
+    if keep is not None:
+        u = T.masked_fill(u, keep)
     u = T.silu(causal_conv1d(u, p.conv_w, p.conv_b))
-    y = selective_scan(u, p.ssm)
+    y = selective_scan(u, p.ssm, keep)
     gated = T.mul(y, T.silu(z))
     return T.matmul(gated, p.out_proj)

@@ -40,7 +40,7 @@ class ModelConfig:
     d_conv: int = 4
     dropout: float = 0.0
     variant: str = "default"
-    freeze_padding: bool = False
+    freeze_padding: bool = False    # zero embedding row 0 at init; no effect on scores
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -73,6 +73,13 @@ class StackLayer:
     pffn: PffnParams | None
     ln_g: Tensor
     ln_b: Tensor
+
+
+def _first_real_column(ids: np.ndarray) -> int:
+    """Index of the first column of [B, L] ids that is not padding in
+    every row; the last column when all of them are."""
+    real = ids.any(axis=0)
+    return int(real.argmax()) if real.any() else ids.shape[1] - 1
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -167,11 +174,19 @@ class MlsaModel:
         ids is [L] or [B, L], right-aligned (newest item last, zeros pad
         the front).  Returns (logits, intermediates); logits is [vocab]
         for a single sequence, [B, vocab] for a batch.
+
+        Padding is masked out of every layer that mixes positions, so a
+        row's scores depend on its real items only.  That lets the pass
+        drop the leading columns that are padding in every row: it runs
+        over the longest real history in the batch, and the
+        intermediates have that length.
         """
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
         if single:
             ids = ids[None, :]
+        ids = ids[:, _first_real_column(ids):]
+        keep = (ids != 0)[:, :, None]
         inter: dict[str, Tensor] = {}
         c = self.config
 
@@ -180,20 +195,21 @@ class MlsaModel:
 
         if c.variant == "v1":
             fused = self._drop(
-                self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba), e)), training)
+                self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e)),
+                training)
             inter["hidden"] = inter["fused"] = fused
         else:
             if c.variant == "v2":
                 h = self._ln("il.ln1", e)
             else:
-                h = self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba), e))
+                h = self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e))
             h = self._drop(h, training)
             inter["hidden"] = h
 
             if c.variant == "v3":
-                attn = vanilla_attention(h, self.il_lsa)
+                attn = vanilla_attention(h, self.il_lsa, keep)
             else:
-                attn = lsa_attention(h, self.il_lsa)
+                attn = lsa_attention(h, self.il_lsa, keep)
             h_attn = self._drop(self._ln("il.ln2", T.add(attn, h)), training)
             inter["attn_hidden"] = h_attn
 
@@ -213,7 +229,7 @@ class MlsaModel:
         x = fused
         for b, layer in enumerate(self.stack):
             if layer.mamba is not None:
-                x = T.layernorm(T.add(mamba_block(x, layer.mamba), x),
+                x = T.layernorm(T.add(mamba_block(x, layer.mamba, keep), x),
                                 layer.ln_g, layer.ln_b)
             else:
                 p = layer.pffn

@@ -204,6 +204,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data * b.data, (a, b), bwd, "mul")
 
 
+def masked_fill(a: Tensor, keep: np.ndarray, value: float = 0.0) -> Tensor:
+    """a where keep is true, value elsewhere; keep is a constant boolean
+    array broadcast against a (a padding mask, say).  Kept entries pass
+    through unchanged and only they receive gradient."""
+    keep = np.asarray(keep, dtype=bool)
+
+    def bwd(g):
+        return (np.where(keep, g, 0.0),)
+    return make_op(np.where(keep, a.data, value), (a,), bwd, "masked_fill")
+
+
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -490,7 +501,11 @@ class ParameterStore:
         return {name: t.data.copy() for name, t in self.entries.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter; values must name all of them and no others."""
+        """Overwrite every parameter; values must name all of them and no others.
+
+        Every name and shape is checked before any entry is written, so a
+        rejected set leaves the store as it was.
+        """
         missing = [name for name in self.entries if name not in values]
         if missing:
             raise KeyError(f"values lack {len(missing)} parameter(s): "
@@ -500,6 +515,7 @@ class ParameterStore:
                 raise KeyError(f"unknown parameter: {name}")
             if self.entries[name].data.shape != arr.shape:
                 raise ShapeError(f"shape mismatch loading {name}")
+        for name, arr in values.items():
             self.entries[name].data[...] = arr.astype(self.dtype)
 
 

@@ -2,8 +2,8 @@
 
 Training minimizes full-vocabulary cross-entropy on next-item targets
 with Adam, early-stopping on validation NDCG@10.  Evaluation ranks the
-held-out target against every item (id 0 excluded) and averages hit
-rate, NDCG, and reciprocal rank at a cutoff.
+held-out target against every item (id 0 excluded; ties count against
+the target) and averages hit rate, NDCG, and reciprocal rank at a cutoff.
 """
 
 from __future__ import annotations
@@ -88,13 +88,14 @@ class Adam:
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
-    """1 + count of real items scored strictly above the target.
+    """1 + count of other real items scored at or above the target.
 
-    Ties resolve in the target's favor; the padding slot 0 never ranks.
+    Ties count against the target, so a model that scores every item
+    alike ranks it last, not first; the padding slot 0 never ranks.
     """
     if target < 1:
         raise ValueError("target must be a real item id (>= 1)")
-    return 1 + int(np.sum(scores[1:] > scores[target]))
+    return int(np.sum(scores[1:] >= scores[target]))
 
 
 def metrics_at_k(rank: int, k: int = 10) -> tuple[float, float, float]:
@@ -197,8 +198,6 @@ def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
             loss = ce_loss(logits, ys[idx])
             model.params.zero_grads()
             loss.backward()
-            if model.config.freeze_padding:
-                model.embedding.grad[0, :] = 0.0
             opt.step()
             total += loss.item() * len(idx)
         epoch_loss = total / len(ys)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from mlsa4rec import tensor as T
 from mlsa4rec.model import MlsaModel, ModelConfig, VARIANTS
 from mlsa4rec.tensor import load_checkpoint, save_checkpoint
+from mlsa4rec.train_eval import model_grad_check
 
 
 # --- independent numpy transcription of the forward pieces -----------------
@@ -86,6 +89,21 @@ def np_fusion_layer(e, model):
     return np_layernorm(mixed @ model.mlp2[0].data + model.mlp2[1].data
                         + e @ model.mlp3[0].data + model.mlp3[1].data,
                         *ln["il.ln4"])
+
+
+def left_pad(rows, width):
+    """Rows of item ids right-aligned in a [len(rows), width] id array."""
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for r, seq in enumerate(rows):
+        out[r, width - len(seq):] = seq
+    return out
+
+
+# rows with different numbers of leading zeros; the first two columns
+# are padding in every row
+MIXED = np.array([[0, 0, 0, 3, 4, 5, 6, 7],
+                  [0, 0, 0, 0, 0, 0, 1, 2],
+                  [0, 0, 18, 9, 8, 7, 6, 5]])
 
 
 def small_config(**kw):
@@ -280,10 +298,8 @@ class TestVariants:
 
 class TestPaddingAndDropout:
     def test_left_padding_neutral_at_init(self):
-        # With the padding row frozen at zero, no stacked layers, and
-        # freshly initialized (zero-bias) norms, prepending padding cannot
-        # change the final-position scores: padded positions contribute
-        # zero keys/values and the state scan starts from rest either way.
+        # forward drops the columns that are padding in every row, so the
+        # padded and unpadded inputs run the same computation
         cfg = small_config(n_layers=0, freeze_padding=True)
         model = MlsaModel(cfg, seed=15)
         ids = np.array([3, 8, 2, 14, 6])
@@ -291,6 +307,71 @@ class TestPaddingAndDropout:
         a = model.score(ids)
         b = model.score(padded)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), n_layers=st.integers(0, 2),
+           seed=st.integers(0, 2**16),
+           history=st.lists(st.integers(1, 19), min_size=1, max_size=5),
+           prefix=st.lists(st.integers(1, 19), min_size=1, max_size=4),
+           others=st.lists(st.lists(st.integers(1, 19), min_size=1, max_size=9),
+                           max_size=2),
+           extra=st.integers(1, 4))
+    def test_scores_ignore_padding(self, variant, n_layers, seed, history,
+                                   prefix, others, extra):
+        # Trained-looking weights: every parameter moved off its initial
+        # value, the padding row and the norm and conv biases included.
+        model = MlsaModel(small_config(variant=variant, n_layers=n_layers),
+                          seed=seed)
+        model.cast_float64()
+        rng = np.random.default_rng(seed)
+        for t in model.params.entries.values():
+            t.data += 0.3 * rng.standard_normal(t.data.shape)
+        alone = model.score(np.array(history))
+        padded = model.score(left_pad([history], len(history) + extra)[0])
+        # prefix + history is longer than history, so history keeps real
+        # padding inside the batch
+        rows = [history, prefix + history] + others
+        width = max(map(len, rows)) + extra
+        batched = model.score(left_pad(rows, width))
+        np.testing.assert_allclose(padded, alone, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(batched[0], alone, rtol=1e-9, atol=1e-12)
+        longer = model.score(np.array(prefix + history))
+        np.testing.assert_allclose(batched[1], longer, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_padding_row_gets_no_gradient(self, variant):
+        model = MlsaModel(small_config(variant=variant, n_layers=2, dropout=0.1),
+                          seed=21)
+        logits, _ = model.forward(MIXED, training=True)
+        T.cross_entropy(logits, np.array([1, 2, 3])).backward()
+        np.testing.assert_array_equal(model.embedding.grad[0], 0.0)
+        assert np.any(model.embedding.grad[MIXED[0, -1]] != 0.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradient_check_on_padded_batch(self, variant):
+        # criterion 5's check and tolerance on rows with different padding
+        cfg = small_config(variant=variant, n_layers=1)
+        err = model_grad_check(cfg, MIXED, np.array([4, 9, 13]), seed=5,
+                               n_samples=200)
+        assert err < 1e-3
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_padding_batch_keeps_one_column(self, variant):
+        model = MlsaModel(small_config(variant=variant), seed=22)
+        logits, inter = model.forward(np.zeros((3, 6), dtype=np.int64))
+        assert inter["embeddings"].shape[1] == 1
+        assert logits.shape == (3, 20)
+        assert np.all(np.isfinite(logits.data))
+
+    def test_leading_zeros_score_as_trimmed(self):
+        model = MlsaModel(small_config(), seed=23)
+        np.testing.assert_array_equal(model.score(np.array([0, 0, 0, 5, 6, 7])),
+                                      model.score(np.array([5, 6, 7])))
+
+    def test_predict_on_padded_batch_is_distribution(self):
+        probs = MlsaModel(small_config(), seed=24).predict(MIXED)
+        assert probs.shape == (3, 20)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_freeze_padding_zeroes_embedding_row(self):
         model = MlsaModel(small_config(freeze_padding=True), seed=16)

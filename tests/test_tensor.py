@@ -119,6 +119,17 @@ class TestElementwise:
         T.tsum(T.mul(x, v)).backward()
         np.testing.assert_allclose(v.grad, x.data.sum(axis=0), rtol=1e-6)
 
+    def test_masked_fill_broadcast_and_grad(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 3, 4))
+        keep = np.array([[True, False, True], [False, True, True]])[:, :, None]
+        out = T.masked_fill(tensor64(x), keep, -5.0)
+        np.testing.assert_array_equal(out.data, np.where(keep, x, -5.0))
+        check_unary(T.masked_fill, x, keep=keep)
+        xt = tensor64(x)
+        T.tsum(T.masked_fill(xt, keep)).backward()
+        np.testing.assert_array_equal(xt.grad, np.broadcast_to(keep, x.shape))
+
     def test_shared_gradient_buffer_not_corrupted(self):
         # add() hands the same upstream array to both parents; ensure
         # accumulation elsewhere cannot alias-corrupt either branch
@@ -365,6 +376,20 @@ class TestParameterStore:
         with pytest.raises(KeyError, match="v, u"):
             store.load_values({"w": np.ones(2)})
         np.testing.assert_array_equal(store["w"].data, 0.0)
+
+    @pytest.mark.parametrize("bad", [{"b": np.ones(4)}, {"nope": np.ones(1)}])
+    def test_failed_load_writes_nothing(self, bad):
+        # the good entry comes first, so a load that writes as it checks
+        # would overwrite it before reaching the bad one
+        store = ParameterStore(2)
+        store.uniform("a", (2,), 2)
+        store.uniform("b", (3,), 3)
+        before = store.snapshot()
+        values = {"a": np.ones(2), "b": np.ones(3), **bad}
+        with pytest.raises((KeyError, ShapeError)):
+            store.load_values(values)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(store[name].data, arr)
 
     def test_cast_float64_casts_in_place(self):
         from mlsa4rec.model import MlsaModel, ModelConfig

@@ -114,9 +114,11 @@ class TestRanking:
         assert rank_of_target(scores, 1) == 3
         assert rank_of_target(scores, 4) == 4
 
-    def test_ties_favor_target(self):
-        scores = np.array([0.0, 1.0, 1.0, 1.0])
-        assert rank_of_target(scores, 2) == 1
+    def test_ties_count_against_target(self):
+        scores = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 0.5])
+        assert rank_of_target(scores, 2) == 4      # 1 above, 2 tied
+        assert rank_of_target(scores, 4) == 1
+        assert rank_of_target(scores, 5) == 5
 
     def test_padding_slot_never_competes(self):
         scores = np.array([1e9, 1.0, 0.0])
@@ -174,6 +176,14 @@ class TestEvaluate:
             assert rep.ndcg_at_k == rep0.ndcg_at_k
             assert rep.mrr_at_k == rep0.mrr_at_k
 
+    def test_constant_scores_win_nothing(self):
+        # every real item ties with the target, so it ranks last of 30
+        ds, split = tiny_data()
+        model = FixedScores(lambda ids: np.zeros((len(ids), ds.vocab_size)))
+        rep = evaluate(model, split, "valid", k=10, max_len=8)
+        assert ds.item_count > 10
+        assert (rep.hr_at_k, rep.ndcg_at_k, rep.mrr_at_k) == (0.0, 0.0, 0.0)
+
     def test_test_phase_appends_validation_item(self):
         ds, split = tiny_data(n_users=4)
         seen = []
@@ -185,13 +195,15 @@ class TestEvaluate:
 
     def test_mask_history_excludes_seen_items(self):
         # 14 history items all outscore the target, pushing its rank past
-        # k unless the mask removes them from the running
+        # k unless the mask removes them from the running; the target
+        # (the successor of the last item) outscores every other item
         ds, split = tiny_data(n_items=100, n_users=10, seq_len=16)
 
         def score_history_high(ids):
             out = np.zeros((len(ids), ds.vocab_size))
             for row, seq in enumerate(ids):
                 out[row, seq[seq > 0]] = 10.0
+                out[row, seq[-1] % ds.item_count + 1] = 5.0
             return out
 
         model = FixedScores(score_history_high)
