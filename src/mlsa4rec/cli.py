@@ -31,8 +31,8 @@ from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
                    synthetic_successor_dataset)
 from .model import VARIANTS, MlsaModel, ModelConfig
 from .tensor import load_checkpoint, save_checkpoint
-from .train_eval import (TrainConfig, evaluate, grid_search, model_grad_check,
-                         train, train_multi_seed, write_metrics_csv)
+from .train_eval import (evaluate, grid_search, model_grad_check,
+                         train_multi_seed, write_metrics_csv)
 
 USAGE = """usage: mlsa4rec <command> [--config FILE] [--key=value ...]
 
@@ -98,13 +98,18 @@ def _resolve_path(path: str) -> str:
     raise FileNotFoundError(f"dataset file not found: {path}")
 
 
-def _load_records(cfg: RunConfig):
+def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
+    """Parse, k-core filter and split the raw file; write the cache if set."""
     path = _resolve_path(cfg.path)
-    if cfg.dataset == "movielens":
-        return parse_movielens(path)
-    if cfg.dataset == "amazon":
-        return parse_amazon(path)
-    raise ValueError(f"dataset {cfg.dataset!r} has no raw parser")
+    parsers = {"movielens": parse_movielens, "amazon": parse_amazon}
+    if cfg.dataset not in parsers:
+        raise ValueError(f"dataset {cfg.dataset!r} has no raw parser")
+    records = kcore_filter(parsers[cfg.dataset](path), cfg.kcore,
+                           cfg.filter_mode)
+    ds, split = build_split(records)
+    if cfg.cache:
+        save_dataset_cache(ds, cfg.cache)
+    return ds, split
 
 
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
@@ -114,57 +119,31 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
     if cfg.cache and os.path.exists(cfg.cache):
         ds = load_dataset_cache(cfg.cache)
         return ds, split_dataset(ds)
-    records = kcore_filter(_load_records(cfg), cfg.kcore, cfg.filter_mode)
-    ds, split = build_split(records)
-    if cfg.cache:
-        save_dataset_cache(ds, cfg.cache)
-    return ds, split
-
-
-def _stats_line(ds: Dataset) -> str:
-    users, items, inter, avg = dataset_stats(ds)
-    return f"{users} users, {items} items, {inter} interactions, avg {avg:.1f}"
+    return _from_raw(cfg)
 
 
 def cmd_prep(cfg: RunConfig) -> int:
     if cfg.dataset == "synthetic":
-        ds, _ = synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
-                                            cfg.syn_len, cfg.seed)
+        ds, _ = _load_data(cfg)
     else:
-        records = kcore_filter(_load_records(cfg), cfg.kcore, cfg.filter_mode)
-        ds, _ = build_split(records)
+        ds, _ = _from_raw(cfg)
         if cfg.cache:
-            save_dataset_cache(ds, cfg.cache)
             print(f"cache written: {cfg.cache}")
-    print(_stats_line(ds))
+    users, items, inter, avg = dataset_stats(ds)
+    print(f"{users} users, {items} items, {inter} interactions, avg {avg:.1f}")
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
     ds, split = _load_data(cfg)
-    model_cfg = cfg.to_model_config(ds.vocab_size)
     train_cfg = cfg.to_train_config()
-    if train_cfg.n_seeds > 1:
-        mean, reports, rows = train_multi_seed(model_cfg, ds, split, train_cfg,
-                                               log=print)
-        print(f"test over {train_cfg.n_seeds} seeds: "
-              f"hr@{mean.k} {mean.hr_at_k:.4f} ndcg@{mean.k} {mean.ndcg_at_k:.4f} "
-              f"mrr@{mean.k} {mean.mrr_at_k:.4f}")
-    else:
-        model = MlsaModel(model_cfg, seed=train_cfg.seed)
-        result = train(model, ds, split, train_cfg, log=print)
-        rows = result.history
-        rep = evaluate(model, split, "test", k=train_cfg.k,
-                       mask_history=train_cfg.mask_history)
-        rows.append({"phase": "test", "epoch": result.best_epoch,
-                     "hr": rep.hr_at_k, "ndcg": rep.ndcg_at_k,
-                     "mrr": rep.mrr_at_k, "loss": float("nan"),
-                     "seed": train_cfg.seed})
-        print(f"test: hr@{rep.k} {rep.hr_at_k:.4f} ndcg@{rep.k} "
-              f"{rep.ndcg_at_k:.4f} mrr@{rep.k} {rep.mrr_at_k:.4f}")
-        if cfg.checkpoint:
-            save_checkpoint(model.params, cfg.checkpoint)
-            print(f"checkpoint written: {cfg.checkpoint}")
+    mean, _, rows, model = train_multi_seed(cfg.to_model_config(ds.vocab_size),
+                                            ds, split, train_cfg, log=print)
+    if train_cfg.seeds > 1:
+        print(f"test over {train_cfg.seeds} seeds: {mean}")
+    if cfg.checkpoint:
+        save_checkpoint(model.params, cfg.checkpoint)
+        print(f"checkpoint written: {cfg.checkpoint}")
     if cfg.metrics_csv:
         write_metrics_csv(cfg.metrics_csv, rows, k=train_cfg.k)
         print(f"metrics written: {cfg.metrics_csv}")
@@ -174,6 +153,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.checkpoint:
         raise ValueError("eval needs checkpoint=...")
+    cfg.to_train_config().validate()
     ds, split = _load_data(cfg)
     model = MlsaModel(cfg.to_model_config(ds.vocab_size), seed=cfg.seed)
     store = load_checkpoint(cfg.checkpoint)
@@ -181,20 +161,12 @@ def cmd_eval(cfg: RunConfig) -> int:
     for phase in ("valid", "test"):
         rep = evaluate(model, split, phase, k=cfg.k,
                        mask_history=cfg.mask_history)
-        print(f"{phase}: hr@{rep.k} {rep.hr_at_k:.4f} ndcg@{rep.k} "
-              f"{rep.ndcg_at_k:.4f} mrr@{rep.k} {rep.mrr_at_k:.4f} "
-              f"({rep.population} users)")
+        print(f"{phase}: {rep} ({rep.population} users)")
     return 0
 
 
 def cmd_gridsearch(cfg: RunConfig) -> int:
-    grid: dict[str, list] = {}
-    for key, parse in (("batch_size", cfg.int_list), ("n_layers", cfg.int_list),
-                       ("n_heads", cfg.int_list), ("n_interests", cfg.int_list),
-                       ("dropout", cfg.float_list)):
-        values = parse(f"grid_{key}")
-        if values:
-            grid[key] = values
+    grid = cfg.grid()
     if not grid:
         raise ValueError("no grid_* keys set; nothing to search")
     ds, split = _load_data(cfg)
@@ -254,18 +226,17 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def cmd_ablate(cfg: RunConfig) -> int:
     ds, split = _load_data(cfg)
     train_cfg = cfg.to_train_config()
-    if cfg.full and train_cfg.n_seeds == 1:
+    if cfg.full and train_cfg.seeds == 1:
         # extended run: average each variant over 4 independent seeds
-        train_cfg = replace(train_cfg, n_seeds=4)
+        train_cfg = replace(train_cfg, seeds=4)
     base_cfg = cfg.to_model_config(ds.vocab_size)
     rows = []
     for variant in VARIANTS:
-        rep, _, _ = train_multi_seed(replace(base_cfg, variant=variant), ds,
-                                     split, train_cfg)
+        rep, *_ = train_multi_seed(replace(base_cfg, variant=variant), ds,
+                                   split, train_cfg)
         rows.append({"variant": variant, f"hr@{rep.k}": rep.hr_at_k,
                      f"ndcg@{rep.k}": rep.ndcg_at_k, f"mrr@{rep.k}": rep.mrr_at_k})
-        print(f"{variant}: hr@{rep.k} {rep.hr_at_k:.4f} "
-              f"ndcg@{rep.k} {rep.ndcg_at_k:.4f} mrr@{rep.k} {rep.mrr_at_k:.4f}")
+        print(f"{variant}: {rep}")
     if cfg.out:
         write_bench_csv(cfg.out, rows)
         print(f"ablation table written: {cfg.out}")

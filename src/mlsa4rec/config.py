@@ -9,42 +9,59 @@ command-line overrides.  Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, get_type_hints
 
 from .model import ModelConfig
-from .train_eval import TrainConfig
+from .train_eval import GRID_KEYS, TrainConfig
 
 
 class ConfigError(ValueError):
     """Unknown key or unparseable value."""
 
 
+def _field_keys(cls: type, help_texts: dict[str, str]
+                ) -> dict[str, tuple[Any, type, str]]:
+    """Schema entries for fields of cls, with the field's default and type."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    types = get_type_hints(cls)
+    return {key: (defaults[key], types[key], text)
+            for key, text in help_texts.items()}
+
+
+# what each train_eval.GRID_KEYS entry's candidates are, for `help`
+_GRID_NOUNS = {"batch_size": "batch sizes", "n_layers": "layer counts",
+               "dropout": "dropout rates", "n_heads": "head counts",
+               "n_interests": "interest counts"}
+
 # key -> (default, type, help)
 SCHEMA: dict[str, tuple[Any, type, str]] = {
     # model shape
-    "max_len": (50, int, "input sequence length after padding/truncation"),
-    "d_model": (64, int, "hidden width"),
-    "d_state": (32, int, "state size of the recurrence"),
-    "n_interests": (8, int, "interest prototypes in low-rank attention"),
-    "n_heads": (2, int, "attention heads"),
-    "n_layers": (2, int, "residual layers after the fusion layer"),
-    "expand": (2, int, "channel expansion inside each Mamba block"),
-    "d_conv": (4, int, "causal depthwise conv kernel size"),
-    "dropout": (0.0, float, "dropout rate in [0,1)"),
-    "variant": ("default", str, "architecture: default|v1|v2|v3|v4"),
-    "freeze_padding": (False, bool,
-                       "pin the padding embedding row at zero; scores never "
-                       "depend on it"),
+    **_field_keys(ModelConfig, {
+        "max_len": "input sequence length after padding/truncation",
+        "d_model": "hidden width",
+        "d_state": "state size of the recurrence",
+        "n_interests": "interest prototypes in low-rank attention",
+        "n_heads": "attention heads",
+        "n_layers": "residual layers after the fusion layer",
+        "expand": "channel expansion inside each Mamba block",
+        "d_conv": "causal depthwise conv kernel size",
+        "dropout": "dropout rate in [0,1)",
+        "variant": "architecture: default|v1|v2|v3|v4",
+        "freeze_padding": "pin the padding embedding row at zero; scores "
+                          "never depend on it",
+    }),
     # training
-    "lr": (0.001, float, "Adam learning rate"),
-    "batch_size": (128, int, "training batch size"),
-    "epochs": (200, int, "maximum training epochs"),
-    "patience": (10, int, "early-stop patience on validation NDCG@k"),
-    "seed": (0, int, "base RNG seed"),
-    "k": (10, int, "metric cutoff"),
-    "augment": ("none", str, "training examples per user: none|sliding"),
-    "mask_history": (False, bool, "exclude already-seen items from ranking"),
-    "seeds": (1, int, "independent seeds to average over"),
+    **_field_keys(TrainConfig, {
+        "lr": "Adam learning rate",
+        "batch_size": "training batch size",
+        "epochs": "maximum training epochs",
+        "patience": "early-stop patience on validation NDCG@k",
+        "seed": "base RNG seed",
+        "k": "metric cutoff",
+        "augment": "training examples per user: none|sliding",
+        "mask_history": "exclude already-seen items from ranking",
+        "seeds": "independent seeds to average over",
+    }),
     # data
     "dataset": ("synthetic", str, "movielens|amazon|synthetic"),
     "path": ("", str, "raw ratings file (resolved against MLSA_DATA_DIR)"),
@@ -66,11 +83,8 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
     "components": ("full_model,lsa,vanilla_attention", str,
                    "comma-separated components to benchmark"),
     # grid search (comma-separated candidate lists; empty = not searched)
-    "grid_batch_size": ("", str, "batch sizes to search"),
-    "grid_n_layers": ("", str, "layer counts to search"),
-    "grid_dropout": ("", str, "dropout rates to search"),
-    "grid_n_heads": ("", str, "head counts to search"),
-    "grid_n_interests": ("", str, "interest counts to search"),
+    **{f"grid_{key}": ("", str, f"{_GRID_NOUNS[key]} to search")
+       for key in GRID_KEYS},
     # command flags
     "toy": (False, bool, "gradcheck: use the built-in toy problem"),
     "full": (False, bool, "ablate: full-scale run on the configured dataset"),
@@ -111,24 +125,22 @@ class RunConfig:
             if f.name != "vocab_size"})
 
     def to_train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            lr=v["lr"], batch_size=v["batch_size"], epochs=v["epochs"],
-            patience=v["patience"], seed=v["seed"], k=v["k"],
-            augment=v["augment"], mask_history=v["mask_history"],
-            n_seeds=v["seeds"])
+        """Every TrainConfig field is the config key of the same name."""
+        return TrainConfig(**{f.name: self.values[f.name]
+                              for f in fields(TrainConfig)})
 
-    def int_list(self, key: str) -> list[int]:
-        raw = self.values[key]
-        return [int(s) for s in str(raw).split(",") if s.strip()] if raw else []
-
-    def float_list(self, key: str) -> list[float]:
-        raw = self.values[key]
-        return [float(s) for s in str(raw).split(",") if s.strip()] if raw else []
+    def grid(self) -> dict[str, list]:
+        """The candidates of each set grid_* key, typed as the key they search."""
+        lists = {key: self.str_list(f"grid_{key}") for key in GRID_KEYS}
+        return {key: [_convert(key, s) for s in raw]
+                for key, raw in lists.items() if raw}
 
     def str_list(self, key: str) -> list[str]:
         raw = self.values[key]
         return [s.strip() for s in str(raw).split(",") if s.strip()] if raw else []
+
+    def int_list(self, key: str) -> list[int]:
+        return [int(s) for s in self.str_list(key)]
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -543,25 +543,28 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
 def load_checkpoint(path: str, rng_seed: int = 0, dtype=DEFAULT_DTYPE) -> ParameterStore:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    off = 0
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(blob):
+            raise CheckpointError(f"{path}: truncated after {len(blob)} bytes")
+        off += size
+        return blob[off - size:off]
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     store = ParameterStore(rng_seed, dtype=dtype)
-    off = 12
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
+        (nlen,) = struct.unpack("<I", take(4))
+        name = take(nlen).decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
         n = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
+        values = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
         store.add(name, values)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")

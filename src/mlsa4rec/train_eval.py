@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,17 +30,16 @@ class TrainConfig:
     k: int = 10
     augment: str = "none"          # "none" | "sliding"
     mask_history: bool = False
-    n_seeds: int = 1
+    seeds: int = 1
 
     def validate(self) -> None:
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "epochs", "patience", "k", "seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.augment not in ("none", "sliding"):
             raise ValueError(f"unknown augment mode {self.augment!r}")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
 
 
 @dataclass
@@ -50,6 +49,10 @@ class MetricsReport:
     mrr_at_k: float
     k: int
     population: int
+
+    def __str__(self) -> str:
+        return (f"hr@{self.k} {self.hr_at_k:.4f} ndcg@{self.k} "
+                f"{self.ndcg_at_k:.4f} mrr@{self.k} {self.mrr_at_k:.4f}")
 
 
 def ce_loss(logits: Tensor, target) -> Tensor:
@@ -226,31 +229,39 @@ def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
 
 def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
                      cfg: TrainConfig, log=None
-                     ) -> tuple[MetricsReport, list[MetricsReport], list[dict]]:
-    """Independent runs on seeds seed..seed+n_seeds-1; test metrics averaged."""
+                     ) -> tuple[MetricsReport, list[MetricsReport], list[dict],
+                                MlsaModel]:
+    """Independent runs on seeds seed..seed+seeds-1, each tested on its best
+    weights.  Returns the mean test report, the per-seed reports, the
+    history rows with one test row per seed, and the first seed's model."""
+    cfg.validate()
     reports, rows = [], []
-    for s in range(cfg.n_seeds):
-        run_cfg = replace(cfg, seed=cfg.seed + s, n_seeds=1)
+    for s in range(cfg.seeds):
+        run_cfg = replace(cfg, seed=cfg.seed + s, seeds=1)
         model = MlsaModel(model_cfg, seed=run_cfg.seed)
         result = train(model, dataset, split, run_cfg, log=log)
         rows.extend(result.history)
         rep = evaluate(model, split, "test", k=cfg.k,
                        mask_history=cfg.mask_history)
+        if log:
+            log(f"test: {rep}")
         rows.append({"phase": "test", "epoch": result.best_epoch,
                      "hr": rep.hr_at_k, "ndcg": rep.ndcg_at_k,
                      "mrr": rep.mrr_at_k, "loss": float("nan"),
                      "seed": run_cfg.seed})
         reports.append(rep)
+        if s == 0:
+            first = model
     mean = MetricsReport(
         float(np.mean([r.hr_at_k for r in reports])),
         float(np.mean([r.ndcg_at_k for r in reports])),
         float(np.mean([r.mrr_at_k for r in reports])),
         cfg.k, reports[0].population)
-    return mean, reports, rows
+    return mean, reports, rows, first
 
 
-GRID_KEYS = {"batch_size": "train", "n_layers": "model", "dropout": "model",
-             "n_heads": "model", "n_interests": "model"}
+# the settings grid_search may vary; each is a ModelConfig or TrainConfig field
+GRID_KEYS = ("batch_size", "n_layers", "dropout", "n_heads", "n_interests")
 
 
 def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
@@ -264,16 +275,17 @@ def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         if key not in GRID_KEYS:
             raise ValueError(f"grid key {key!r} not searchable; "
                              f"allowed: {sorted(GRID_KEYS)}")
+    model_keys = {f.name for f in fields(ModelConfig)}
     names = sorted(grid)
     rows: list[dict] = []
     best_cell = None
     best_ndcg = -1.0
     for values in itertools.product(*(grid[n] for n in names)):
         cell = dict(zip(names, values))
-        m_over = {k: v for k, v in cell.items() if GRID_KEYS[k] == "model"}
-        t_over = {k: v for k, v in cell.items() if GRID_KEYS[k] == "train"}
-        mc = replace(model_cfg, **m_over)
-        tc = replace(train_cfg, **t_over)
+        mc = replace(model_cfg, **{k: v for k, v in cell.items()
+                                   if k in model_keys})
+        tc = replace(train_cfg, **{k: v for k, v in cell.items()
+                                   if k not in model_keys})
         model = MlsaModel(mc, seed=tc.seed)
         result = train(model, dataset, split, tc, log=log)
         row = dict(cell)

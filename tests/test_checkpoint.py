@@ -101,3 +101,19 @@ class TestErrors:
             fh.write(b"\x00\x01")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    # the fixture's file: 12-byte header, then "embedding.M" with its u32
+    # name length at 12, name at 16, rank and dims at 27, values at 39
+    @pytest.mark.parametrize("cut", [0, 3, 6, 11, 14, 20, 30, 38, 45, 98, -1],
+                             ids=["empty", "magic", "version", "count",
+                                  "name_length", "name", "rank", "dims",
+                                  "values", "record_end", "file_end"])
+    def test_truncated_file(self, store, tmp_path, cut):
+        path = str(tmp_path / "cut.ckpt")
+        save_checkpoint(store, path)
+        blob = open(path, "rb").read()
+        assert blob[16:27] == b"embedding.M"
+        open(path, "wb").write(blob[:cut])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: truncated after ")

@@ -159,6 +159,26 @@ class TestTrainEvalCli:
         assert code == 0
         assert "test over 2 seeds" in out
 
+    def test_multi_seed_checkpoint_is_first_seed(self, tmp_path, capsys):
+        paths = [str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")]
+        for path, seeds in zip(paths, (["--seeds", "2"], [])):
+            code, _, _ = run(["train"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                             + ["--seed", "3", "--checkpoint", path] + seeds,
+                             capsys)
+            assert code == 0
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gridsearch"])
+    @pytest.mark.parametrize("key", ["epochs", "patience", "k", "seeds"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, command, key):
+        ckpt = tmp_path / "model.ckpt"
+        code, _, err = run([command] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                           + [f"--{key}", "0", "--grid_n_heads", "2",
+                              "--checkpoint", str(ckpt)], capsys)
+        assert code == 1
+        assert f"{key} must be >= 1" in err
+        assert not ckpt.exists()
+
 
 class TestGradcheckCli:
     def test_toy_problem_passes(self, capsys):

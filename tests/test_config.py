@@ -4,9 +4,10 @@ from dataclasses import fields
 
 import pytest
 
-from mlsa4rec.config import (ConfigError, SCHEMA, build_config, describe_keys,
-                             parse_config_file)
+from mlsa4rec.config import (ConfigError, RunConfig, SCHEMA, build_config,
+                             describe_keys, parse_config_file)
 from mlsa4rec.model import ModelConfig
+from mlsa4rec.train_eval import TrainConfig
 
 
 class TestDefaults:
@@ -53,10 +54,13 @@ class TestConversion:
 
     def test_list_helpers(self):
         cfg = build_config(overrides={"bench_lengths": "8, 16,32",
-                                      "grid_dropout": "0.0,0.5"})
+                                      "grid_dropout": "0.0,0.5",
+                                      "grid_n_heads": " 1, 2"})
         assert cfg.int_list("bench_lengths") == [8, 16, 32]
-        assert cfg.float_list("grid_dropout") == [0.0, 0.5]
-        assert build_config().int_list("grid_n_layers") == []
+        # each grid list takes the type of the key it searches
+        assert cfg.grid() == {"dropout": [0.0, 0.5], "n_heads": [1, 2]}
+        assert type(cfg.grid()["dropout"][0]) is float
+        assert build_config().grid() == {}
 
     def test_non_string_override_passes_through(self):
         cfg = build_config(overrides={"epochs": 7})
@@ -96,29 +100,35 @@ class TestTranslation:
         assert mc.dropout == pytest.approx(0.2)
         mc.validate()
 
-    def test_every_model_field_is_a_key(self):
-        model_fields = [f for f in fields(ModelConfig) if f.name != "vocab_size"]
-        assert model_fields
-        for f in model_fields:
+    @pytest.mark.parametrize("cls, translate", [
+        (ModelConfig, lambda cfg: cfg.to_model_config(vocab_size=7)),
+        (TrainConfig, RunConfig.to_train_config)],
+        ids=["ModelConfig", "TrainConfig"])
+    def test_every_model_field_is_a_key(self, cls, translate):
+        key_fields = [f for f in fields(cls) if f.name != "vocab_size"]
+        assert key_fields
+        for f in key_fields:
             assert f.name in SCHEMA
             assert SCHEMA[f.name][0] == f.default, f.name
+            assert isinstance(f.default, SCHEMA[f.name][1]), f.name
         changed = {}
-        for f in model_fields:
+        for f in key_fields:
             default = f.default
             changed[f.name] = (not default if isinstance(default, bool)
                                else default + 1 if isinstance(default, int)
                                else default + 0.25 if isinstance(default, float)
                                else default + "x")
-        mc = build_config(overrides=changed).to_model_config(vocab_size=7)
-        assert mc.vocab_size == 7
+        translated = translate(build_config(overrides=changed))
+        assert isinstance(translated, cls)
+        assert getattr(translated, "vocab_size", 7) == 7
         for name, value in changed.items():
-            assert getattr(mc, name) == value, name
+            assert getattr(translated, name) == value, name
 
     def test_to_train_config(self):
         cfg = build_config(overrides={"lr": "0.01", "seeds": "3",
                                       "augment": "sliding"})
         tc = cfg.to_train_config()
         assert tc.lr == pytest.approx(0.01)
-        assert tc.n_seeds == 3
+        assert tc.seeds == 3
         assert tc.augment == "sliding"
         tc.validate()

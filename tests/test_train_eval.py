@@ -1,5 +1,7 @@
 """Loss, optimizer, metrics, evaluation protocol, training loop, grid search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -288,12 +290,25 @@ class TestTrainLoop:
         train(model, ds, split, cfg)
         np.testing.assert_array_equal(model.embedding.data[0], 0.0)
 
+    @pytest.mark.parametrize("key", ["epochs", "patience", "k", "seeds"])
+    def test_rejects_count_below_one(self, key):
+        ds, split = tiny_data(n_users=10)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=0)
+        cfg = replace(TrainConfig(lr=0.01, batch_size=16, epochs=1), **{key: 0})
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            train(model, ds, split, cfg)
+
     def test_multi_seed_averages(self):
         ds, split = tiny_data(n_users=12)
-        cfg = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=0, n_seeds=2)
-        mean, reports, rows = train_multi_seed(
-            tiny_model_config(ds.vocab_size), ds, split, cfg)
+        cfg = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=0, seeds=2)
+        lines = []
+        mean, reports, rows, first = train_multi_seed(
+            tiny_model_config(ds.vocab_size), ds, split, cfg, log=lines.append)
         assert len(reports) == 2
+        assert [l for l in lines if l.startswith("test:")] == [
+            f"test: {r}" for r in reports]
+        # the returned model is the first seed's, on its best weights
+        assert evaluate(first, split, "test", k=cfg.k) == reports[0]
         assert mean.hr_at_k == pytest.approx(
             np.mean([r.hr_at_k for r in reports]))
         assert sum(1 for r in rows if r["phase"] == "test") == 2
@@ -319,8 +334,9 @@ class TestGridSearch:
         mc, tc, rows = grid_search(
             ds, split, tiny_model_config(ds.vocab_size),
             TrainConfig(lr=0.01, batch_size=16, epochs=1, seed=0),
-            {"n_heads": [2]})
-        assert mc.n_heads == 2
+            {"n_heads": [2], "batch_size": [8]})
+        # each key lands in the config that has a field of its name
+        assert mc.n_heads == 2 and tc.batch_size == 8
         assert len(rows) == 1
 
     def test_extreme_dropout_loses(self):
