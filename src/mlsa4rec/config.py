@@ -47,8 +47,6 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
         "d_conv": "causal depthwise conv kernel size",
         "dropout": "dropout rate in [0,1)",
         "variant": "architecture: default|v1|v2|v3|v4",
-        "freeze_padding": "pin the padding embedding row at zero; scores "
-                          "never depend on it",
     }),
     # training
     **_field_keys(TrainConfig, {

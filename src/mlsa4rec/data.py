@@ -197,11 +197,25 @@ def save_dataset_cache(ds: Dataset, path: str) -> None:
 
 
 def load_dataset_cache(path: str) -> Dataset:
+    """Read a save_dataset_cache file.  Every user must have an id and at
+    least 3 items (train, valid, test), each a real item id."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if blob.get("version") != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {blob.get('version')}")
-    return Dataset(blob["sequences"], blob["user_ids"], blob["item_ids"])
+    ds = Dataset(blob["sequences"], blob["user_ids"], blob["item_ids"])
+    if len(ds.user_ids) != len(ds.sequences):
+        raise ValueError(f"{path}: {len(ds.user_ids)} user ids for "
+                         f"{len(ds.sequences)} sequences")
+    for user, seq in zip(ds.user_ids, ds.sequences):
+        bad = [i for i in seq if not 1 <= i < ds.vocab_size]
+        if bad:
+            raise ValueError(f"{path}: user {user!r} has item id {bad[0]}, "
+                             f"outside [1, {ds.vocab_size})")
+        if len(seq) < 3:
+            raise ValueError(f"{path}: user {user!r} has {len(seq)} items; "
+                             "a train/valid/test split needs at least 3")
+    return ds
 
 
 def synthetic_successor_dataset(n_items: int = 500, n_users: int = 2000,

@@ -16,6 +16,7 @@ from the final position.  Ablation variants rewire these parts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class ModelConfig:
     d_conv: int = 4
     dropout: float = 0.0
     variant: str = "default"
-    freeze_padding: bool = False    # zero embedding row 0 at init; no effect on scores
+    # not a setting: read only by perfbench/workloads.py until it calls train_step
+    freeze_padding: ClassVar[bool] = False
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -100,8 +102,6 @@ class MlsaModel:
 
         self.embedding = store.uniform("embedding.M", (c.vocab_size, c.d_model),
                                        c.d_model)
-        if c.freeze_padding:
-            self.embedding.data[0, :] = 0.0
 
         self.il_mamba: MambaParams | None = None
         self.il_lsa: LsaParams | None = None

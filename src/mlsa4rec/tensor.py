@@ -540,7 +540,8 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str, rng_seed: int = 0, dtype=DEFAULT_DTYPE) -> ParameterStore:
+def load_checkpoint(path: str) -> ParameterStore:
+    """Read a save_checkpoint file into a default-dtype store."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -557,7 +558,7 @@ def load_checkpoint(path: str, rng_seed: int = 0, dtype=DEFAULT_DTYPE) -> Parame
     version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    store = ParameterStore(rng_seed, dtype=dtype)
+    store = ParameterStore()
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4))
         name = take(nlen).decode("utf-8")

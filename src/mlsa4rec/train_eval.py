@@ -123,8 +123,8 @@ def evaluate(model, split: Split, phase: str = "valid", k: int = 10,
              batch_size: int = 256) -> MetricsReport:
     """Average HR/NDCG/MRR@k of the held-out target over all users.
 
-    model only needs a score(ids[B, L]) -> [B, vocab] method; order of
-    aggregation cannot change the result (sum then divide).
+    model only needs a score(ids[B, L]) -> [B, vocab] method.  Each metric
+    is summed in user order, then divided by the user count.
     """
     if max_len is None:
         max_len = model.config.max_len
@@ -172,9 +172,19 @@ def build_training_examples(split: Split, max_len: int, augment: str = "none"
     return np.stack(xs), np.asarray(ys, dtype=np.int64)
 
 
+def train_step(model: MlsaModel, opt: Adam, xb: np.ndarray, yb: np.ndarray
+               ) -> tuple[float, np.ndarray]:
+    """One Adam step on the batch's cross-entropy; returns (loss, logits)."""
+    logits, _ = model.forward(xb, training=True)
+    loss = ce_loss(logits, yb)
+    model.params.zero_grads()
+    loss.backward()
+    opt.step()
+    return loss.item(), logits.data
+
+
 @dataclass
 class TrainResult:
-    best_params: dict[str, np.ndarray]
     best_valid: MetricsReport
     best_epoch: int
     history: list[dict] = field(default_factory=list)
@@ -190,19 +200,15 @@ def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model.reseed_dropout(cfg.seed)
     opt = Adam(model.params, lr=cfg.lr)
-    best = TrainResult({}, MetricsReport(0.0, -1.0, 0.0, cfg.k, 0), -1)
-    stale = 0
+    best = TrainResult(MetricsReport(0.0, -1.0, 0.0, cfg.k, 0), -1)
+    best_params: dict[str, np.ndarray] = {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(ys))
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            logits, _ = model.forward(xs[idx], training=True)
-            loss = ce_loss(logits, ys[idx])
-            model.params.zero_grads()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
+            loss, _ = train_step(model, opt, xs[idx], ys[idx])
+            total += loss * len(idx)
         epoch_loss = total / len(ys)
         report = evaluate(model, split, "valid", k=cfg.k,
                           mask_history=cfg.mask_history)
@@ -214,17 +220,30 @@ def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
             log(f"epoch {epoch}: loss {epoch_loss:.4f} "
                 f"valid ndcg@{cfg.k} {report.ndcg_at_k:.4f}")
         if report.ndcg_at_k > best.best_valid.ndcg_at_k:
-            best.best_valid = report
-            best.best_epoch = epoch
-            best.best_params = model.params.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    if best.best_params:
-        model.params.load_values(best.best_params)
+            best.best_valid, best.best_epoch = report, epoch
+            best_params = model.params.snapshot()
+        elif epoch - best.best_epoch >= cfg.patience:
+            break
+    if best_params:
+        model.params.load_values(best_params)
     return best
+
+
+def _fit_seeds(model_cfg: ModelConfig, dataset: Dataset, split: Split,
+               cfg: TrainConfig, log=None):
+    """Yield (seed, model, train result) for seeds seed..seed+seeds-1."""
+    cfg.validate()
+    for s in range(cfg.seeds):
+        run_cfg = replace(cfg, seed=cfg.seed + s, seeds=1)
+        model = MlsaModel(model_cfg, seed=run_cfg.seed)
+        yield run_cfg.seed, model, train(model, dataset, split, run_cfg, log=log)
+
+
+def _mean_report(reports: list[MetricsReport]) -> MetricsReport:
+    """Per-metric mean over seeds; k and population are the first seed's."""
+    means = [float(np.mean([getattr(r, name) for r in reports]))
+             for name in ("hr_at_k", "ndcg_at_k", "mrr_at_k")]
+    return MetricsReport(*means, reports[0].k, reports[0].population)
 
 
 def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
@@ -234,30 +253,18 @@ def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
     """Independent runs on seeds seed..seed+seeds-1, each tested on its best
     weights.  Returns the mean test report, the per-seed reports, the
     history rows with one test row per seed, and the first seed's model."""
-    cfg.validate()
-    reports, rows = [], []
-    for s in range(cfg.seeds):
-        run_cfg = replace(cfg, seed=cfg.seed + s, seeds=1)
-        model = MlsaModel(model_cfg, seed=run_cfg.seed)
-        result = train(model, dataset, split, run_cfg, log=log)
+    reports, rows, first = [], [], None
+    for seed, model, result in _fit_seeds(model_cfg, dataset, split, cfg, log):
         rows.extend(result.history)
-        rep = evaluate(model, split, "test", k=cfg.k,
-                       mask_history=cfg.mask_history)
+        rep = evaluate(model, split, "test", k=cfg.k, mask_history=cfg.mask_history)
         if log:
             log(f"test: {rep}")
         rows.append({"phase": "test", "epoch": result.best_epoch,
                      "hr": rep.hr_at_k, "ndcg": rep.ndcg_at_k,
-                     "mrr": rep.mrr_at_k, "loss": float("nan"),
-                     "seed": run_cfg.seed})
+                     "mrr": rep.mrr_at_k, "loss": float("nan"), "seed": seed})
         reports.append(rep)
-        if s == 0:
-            first = model
-    mean = MetricsReport(
-        float(np.mean([r.hr_at_k for r in reports])),
-        float(np.mean([r.ndcg_at_k for r in reports])),
-        float(np.mean([r.mrr_at_k for r in reports])),
-        cfg.k, reports[0].population)
-    return mean, reports, rows, first
+        first = first or model
+    return _mean_report(reports), reports, rows, first
 
 
 # the settings grid_search may vary; each is a ModelConfig or TrainConfig field
@@ -267,38 +274,30 @@ GRID_KEYS = ("batch_size", "n_layers", "dropout", "n_heads", "n_interests")
 def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
                 train_cfg: TrainConfig, grid: dict[str, list], log=None
                 ) -> tuple[ModelConfig, TrainConfig, list[dict]]:
-    """Exhaustive product over the grid, each cell early-stop trained;
-    the cell with the best validation NDCG@k wins."""
+    """Exhaustive product over the grid, each cell early-stop trained on
+    every seed; the best mean validation NDCG@k wins (epoch: first seed's)."""
     if not grid:
         raise ValueError("empty grid")
-    for key in grid:
-        if key not in GRID_KEYS:
-            raise ValueError(f"grid key {key!r} not searchable; "
-                             f"allowed: {sorted(GRID_KEYS)}")
+    unknown = sorted(set(grid) - set(GRID_KEYS))
+    if unknown:
+        raise ValueError(f"grid keys {unknown} not searchable; allowed: {GRID_KEYS}")
     model_keys = {f.name for f in fields(ModelConfig)}
     names = sorted(grid)
-    rows: list[dict] = []
-    best_cell = None
-    best_ndcg = -1.0
+    cells, rows = [], []
     for values in itertools.product(*(grid[n] for n in names)):
         cell = dict(zip(names, values))
-        mc = replace(model_cfg, **{k: v for k, v in cell.items()
-                                   if k in model_keys})
-        tc = replace(train_cfg, **{k: v for k, v in cell.items()
-                                   if k not in model_keys})
-        model = MlsaModel(mc, seed=tc.seed)
-        result = train(model, dataset, split, tc, log=log)
-        row = dict(cell)
-        row.update(ndcg=result.best_valid.ndcg_at_k, hr=result.best_valid.hr_at_k,
-                   mrr=result.best_valid.mrr_at_k, epoch=result.best_epoch)
-        rows.append(row)
+        in_model = {k: v for k, v in cell.items() if k in model_keys}
+        mc = replace(model_cfg, **in_model)
+        tc = replace(train_cfg, **{k: v for k, v in cell.items() if k not in in_model})
+        results = [r for *_, r in _fit_seeds(mc, dataset, split, tc, log)]
+        valid = _mean_report([r.best_valid for r in results])
+        cells.append((mc, tc))
+        rows.append({**cell, "ndcg": valid.ndcg_at_k, "hr": valid.hr_at_k,
+                     "mrr": valid.mrr_at_k, "epoch": results[0].best_epoch})
         if log:
-            log(f"grid cell {cell}: valid ndcg@{tc.k} "
-                f"{result.best_valid.ndcg_at_k:.4f}")
-        if result.best_valid.ndcg_at_k > best_ndcg:
-            best_ndcg = result.best_valid.ndcg_at_k
-            best_cell = (mc, tc)
-    return best_cell[0], best_cell[1], rows
+            log(f"grid cell {cell}: valid ndcg@{tc.k} {valid.ndcg_at_k:.4f}")
+    best = max(range(len(rows)), key=lambda i: rows[i]["ndcg"])  # first of ties
+    return *cells[best], rows
 
 
 def model_grad_check(model_cfg: ModelConfig, ids: np.ndarray,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import ACCEPTANCE
+from .conftest import ACCEPTANCE
 from mlsa4rec import kernels
 from mlsa4rec import tensor as T
 from mlsa4rec.attention import init_lsa, lsa_attention

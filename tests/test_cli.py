@@ -38,6 +38,14 @@ class TestUsageErrors:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("flag", [["--freeze-padding"],
+                                      ["--freeze-padding=on"],
+                                      ["--freeze_padding", "true"]])
+    def test_removed_freeze_padding_switch(self, flag, capsys):
+        code, _, err = run(["prep"] + TINY_DATA + flag, capsys)
+        assert code == 2
+        assert "freeze_padding" in err
+
     def test_missing_value(self, capsys):
         code, _, err = run(["prep", "--lr"], capsys)
         assert code == 2

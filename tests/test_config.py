@@ -31,22 +31,21 @@ class TestDefaults:
 
 class TestConversion:
     def test_int_float_bool(self):
-        # the file sets freeze_padding on, so reading False shows the
-        # override's "off" was parsed, not the default kept
-        cfg = build_config(file_values={"freeze_padding": "on"},
+        # the file sets toy on, so reading False shows the override's
+        # "off" was parsed, not the default kept
+        cfg = build_config(file_values={"toy": "on"},
                            overrides={"d_model": "128", "lr": "0.01",
-                                      "freeze_padding": "off",
-                                      "mask_history": "yes"})
+                                      "toy": "off", "mask_history": "yes"})
         assert cfg.d_model == 128
         assert cfg.lr == pytest.approx(0.01)
-        assert cfg.freeze_padding is False
+        assert cfg.toy is False
         assert cfg.mask_history is True
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError, match="int"):
             build_config(overrides={"d_model": "sixty-four"})
         with pytest.raises(ConfigError, match="boolean"):
-            build_config(overrides={"freeze_padding": "maybe"})
+            build_config(overrides={"toy": "maybe"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):

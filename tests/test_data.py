@@ -1,5 +1,7 @@
 """Parsing, k-core filtering, leave-one-out splitting, encoding, caching."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,36 @@ class TestCache:
                         '"sequences": []}')
         with pytest.raises(ValueError, match="version"):
             load_dataset_cache(str(path))
+
+    @staticmethod
+    def write_cache(tmp_path, sequences, user_ids=None, n_items=5):
+        path = tmp_path / "cache.json"
+        if user_ids is None:
+            user_ids = [f"u{i}" for i in range(len(sequences))]
+        item_ids = [""] + [str(i) for i in range(n_items)]
+        path.write_text(json.dumps({"version": 1, "user_ids": user_ids,
+                                    "item_ids": item_ids, "sequences": sequences}))
+        return str(path)
+
+    def test_padding_id_in_history(self, tmp_path):
+        path = self.write_cache(tmp_path, [[1, 2, 3], [2, 0, 4, 5]])
+        with pytest.raises(ValueError, match=r"cache\.json: user 'u1' has item id 0"):
+            load_dataset_cache(path)
+
+    def test_item_id_past_vocab(self, tmp_path):
+        path = self.write_cache(tmp_path, [[1, 2, 3], [1, 2, 6], [7, 1, 2]])
+        with pytest.raises(ValueError, match=r"user 'u1' has item id 6, outside \[1, 6\)"):
+            load_dataset_cache(path)
+
+    def test_user_with_too_few_items(self, tmp_path):
+        path = self.write_cache(tmp_path, [[1, 2, 3], [4], [5, 1]])
+        with pytest.raises(ValueError, match="cache.json: user 'u1' has 1 items"):
+            load_dataset_cache(path)
+
+    def test_user_ids_match_sequences(self, tmp_path):
+        path = self.write_cache(tmp_path, [[1, 2, 3], [2, 3, 4]], user_ids=["u0"])
+        with pytest.raises(ValueError, match="1 user ids for 2 sequences"):
+            load_dataset_cache(path)
 
 
 class TestSynthetic:

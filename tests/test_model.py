@@ -300,7 +300,7 @@ class TestPaddingAndDropout:
     def test_left_padding_neutral_at_init(self):
         # forward drops the columns that are padding in every row, so the
         # padded and unpadded inputs run the same computation
-        cfg = small_config(n_layers=0, freeze_padding=True)
+        cfg = small_config(n_layers=0)
         model = MlsaModel(cfg, seed=15)
         ids = np.array([3, 8, 2, 14, 6])
         padded = np.concatenate([np.zeros(3, dtype=np.int64), ids])
@@ -372,10 +372,6 @@ class TestPaddingAndDropout:
         probs = MlsaModel(small_config(), seed=24).predict(MIXED)
         assert probs.shape == (3, 20)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
-
-    def test_freeze_padding_zeroes_embedding_row(self):
-        model = MlsaModel(small_config(freeze_padding=True), seed=16)
-        np.testing.assert_array_equal(model.embedding.data[0], 0.0)
 
     def test_dropout_only_in_training_mode(self):
         model = MlsaModel(small_config(dropout=0.5), seed=17)

@@ -12,7 +12,7 @@ from mlsa4rec.tensor import ParameterStore, Tensor
 from mlsa4rec.train_eval import (Adam, TrainConfig, build_training_examples,
                                  ce_loss, evaluate, grid_search, metrics_at_k,
                                  model_grad_check, rank_of_target, train,
-                                 train_multi_seed, write_metrics_csv)
+                                 train_multi_seed, train_step, write_metrics_csv)
 
 
 def tiny_data(n_items=30, n_users=40, seq_len=6, seed=0):
@@ -238,6 +238,26 @@ class TestTrainingExamples:
             build_training_examples(Split([[5]], [1], [2]), max_len=8)
 
 
+class TestTrainStep:
+    def test_matches_hand_written_step(self):
+        ds, split = tiny_data()
+        xs, ys = build_training_examples(split, 8)
+        mc = tiny_model_config(ds.vocab_size, n_layers=1, dropout=0.2)
+        by_hand, stepped = MlsaModel(mc, seed=9), MlsaModel(mc, seed=9)
+        hand_opt, opt = Adam(by_hand.params, lr=0.01), Adam(stepped.params, lr=0.01)
+        for idx in (np.arange(0, 16), np.arange(16, 32)):
+            logits, _ = by_hand.forward(xs[idx], training=True)
+            loss = ce_loss(logits, ys[idx])
+            by_hand.params.zero_grads()
+            loss.backward()
+            hand_opt.step()
+            got_loss, got_logits = train_step(stepped, opt, xs[idx], ys[idx])
+            assert got_loss == loss.item()
+            np.testing.assert_array_equal(got_logits, logits.data)
+        for name, p in by_hand.params.entries.items():
+            assert np.array_equal(stepped.params.entries[name].data, p.data), name
+
+
 class TestTrainLoop:
     def test_loss_decreases_and_history_recorded(self):
         ds, split = tiny_data()
@@ -283,12 +303,13 @@ class TestTrainLoop:
         assert len(result.history) <= 4
 
     def test_padding_row_stays_frozen(self):
+        # row 0 gets exactly zero gradient, so Adam never moves it
         ds, split = tiny_data()
-        model = MlsaModel(
-            tiny_model_config(ds.vocab_size, freeze_padding=True), seed=4)
+        model = MlsaModel(tiny_model_config(ds.vocab_size), seed=4)
+        initial = model.embedding.data[0].copy()
         cfg = TrainConfig(lr=0.05, batch_size=16, epochs=2, seed=4)
         train(model, ds, split, cfg)
-        np.testing.assert_array_equal(model.embedding.data[0], 0.0)
+        np.testing.assert_array_equal(model.embedding.data[0], initial)
 
     @pytest.mark.parametrize("key", ["epochs", "patience", "k", "seeds"])
     def test_rejects_count_below_one(self, key):
@@ -328,6 +349,19 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(ds, split, tiny_model_config(ds.vocab_size),
                         TrainConfig(), {})
+
+    def test_cell_scored_on_mean_over_seeds(self):
+        ds, split = tiny_data(n_users=12)
+        mc = tiny_model_config(ds.vocab_size)
+        tc = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=5, seeds=2)
+        _, _, rows = grid_search(ds, split, mc, tc, {"n_heads": [2]})
+        runs = [train(MlsaModel(mc, seed=s), ds, split, replace(tc, seed=s, seeds=1))
+                for s in (5, 6)]
+        ndcg = [r.best_valid.ndcg_at_k for r in runs]
+        assert ndcg[0] != ndcg[1]       # so one seed alone cannot pass
+        assert rows[0]["ndcg"] == float(np.mean(ndcg))
+        assert rows[0]["hr"] == float(np.mean([r.best_valid.hr_at_k for r in runs]))
+        assert rows[0]["epoch"] == runs[0].best_epoch
 
     def test_singleton_grid_returns_cell(self):
         ds, split = tiny_data(n_users=10)
