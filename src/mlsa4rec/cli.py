@@ -114,12 +114,17 @@ def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
 
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
     if cfg.dataset == "synthetic":
-        return synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
-                                           cfg.syn_len, cfg.seed)
-    if cfg.cache and os.path.exists(cfg.cache):
+        ds, split = synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
+                                                cfg.syn_len, cfg.seed)
+    elif cfg.cache and os.path.exists(cfg.cache):
         ds = load_dataset_cache(cfg.cache)
-        return ds, split_dataset(ds)
-    return _from_raw(cfg)
+        split = split_dataset(ds)
+    else:
+        ds, split = _from_raw(cfg)
+    if ds.user_count == 0:
+        source = f" (--path {cfg.path})" if cfg.path else ""
+        raise ValueError(f"dataset has no users{source}")
+    return ds, split
 
 
 def cmd_prep(cfg: RunConfig) -> int:
@@ -138,7 +143,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ds, split = _load_data(cfg)
     train_cfg = cfg.to_train_config()
     mean, _, rows, model = train_multi_seed(cfg.to_model_config(ds.vocab_size),
-                                            ds, split, train_cfg, log=print)
+                                            split, train_cfg, log=print)
     if train_cfg.seeds > 1:
         print(f"test over {train_cfg.seeds} seeds: {mean}")
     if cfg.checkpoint:
@@ -171,8 +176,8 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
         raise ValueError("no grid_* keys set; nothing to search")
     ds, split = _load_data(cfg)
     model_cfg = cfg.to_model_config(ds.vocab_size)
-    best_mc, best_tc, rows = grid_search(ds, split, model_cfg,
-                                         cfg.to_train_config(), grid, log=print)
+    best_mc, best_tc, rows = grid_search(split, model_cfg, cfg.to_train_config(),
+                                         grid, log=print)
     if cfg.out:
         write_bench_csv(cfg.out, rows)
         print(f"grid report written: {cfg.out}")
@@ -232,8 +237,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
     base_cfg = cfg.to_model_config(ds.vocab_size)
     rows = []
     for variant in VARIANTS:
-        rep, *_ = train_multi_seed(replace(base_cfg, variant=variant), ds,
-                                   split, train_cfg)
+        rep, *_ = train_multi_seed(replace(base_cfg, variant=variant), split,
+                                   train_cfg)
         rows.append({"variant": variant, f"hr@{rep.k}": rep.hr_at_k,
                      f"ndcg@{rep.k}": rep.ndcg_at_k, f"mrr@{rep.k}": rep.mrr_at_k})
         print(f"{variant}: {rep}")

@@ -49,8 +49,8 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        for name in ("vocab_size", "max_len", "d_model", "d_state", "n_interests",
-                     "n_heads", "expand", "d_conv"):
+        for name in ("max_len", "d_model", "d_state", "n_interests", "n_heads",
+                     "expand", "d_conv"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_layers < 0:
@@ -96,7 +96,7 @@ class MlsaModel:
         config.validate()
         self.config = config
         self.params = ParameterStore(seed)
-        self._drop_rng = np.random.default_rng(seed ^ 0x5EED)
+        self.reseed_dropout(seed)
         c = config
         store = self.params
 
@@ -188,25 +188,23 @@ class MlsaModel:
         ids = ids[:, _first_real_column(ids):]
         keep = (ids != 0)[:, :, None]
         inter: dict[str, Tensor] = {}
-        c = self.config
 
         e = self._drop(T.embedding(self.embedding, ids), training)
         inter["embeddings"] = e
 
-        if c.variant == "v1":
-            fused = self._drop(
-                self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e)),
-                training)
-            inter["hidden"] = inter["fused"] = fused
+        # the parts __init__ built pick the path: v2 has no fusion Mamba, v1 no
+        # attention (its hidden state is the fused output), v3 no prototypes
+        if self.il_mamba is None:
+            h = self._ln("il.ln1", e)
         else:
-            if c.variant == "v2":
-                h = self._ln("il.ln1", e)
-            else:
-                h = self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e))
-            h = self._drop(h, training)
-            inter["hidden"] = h
+            h = self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e))
+        h = self._drop(h, training)
+        inter["hidden"] = h
 
-            if c.variant == "v3":
+        if self.il_lsa is None:
+            fused = h
+        else:
+            if self.il_lsa.theta is None:
                 attn = vanilla_attention(h, self.il_lsa, keep)
             else:
                 attn = lsa_attention(h, self.il_lsa, keep)
@@ -224,7 +222,7 @@ class MlsaModel:
                 _linear(T.concat_last([gated_norm, gate]), *self.mlp2),
                 _linear(e, *self.mlp3)))
             fused = self._drop(fused, training)
-            inter["fused"] = fused
+        inter["fused"] = fused
 
         x = fused
         for b, layer in enumerate(self.stack):

@@ -56,22 +56,15 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(DEFAULT_DTYPE)
-    return arr
-
-
 class Tensor:
-    """A real-valued array node in the computation graph."""
+    """A graph node over float32 or float64 data; other dtypes become float32."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(DEFAULT_DTYPE)
         if arr.ndim > 3:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 3")
         self.data = arr

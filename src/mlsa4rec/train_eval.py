@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, Split, pad_truncate
+from .data import Split, pad_truncate
 from .model import MlsaModel, ModelConfig
 from .tensor import ParameterStore, Tensor
 
@@ -33,8 +33,8 @@ class TrainConfig:
     seeds: int = 1
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("batch_size", "epochs", "patience", "k", "seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -61,7 +61,9 @@ def ce_loss(logits: Tensor, target) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam; step() updates in place and zeroes gradients."""
+    """Bias-corrected Adam; step() updates parameters in place from their
+    .grad and leaves .grad as it is.  Whoever calls backward() clears the
+    gradients first."""
 
     def __init__(self, store: ParameterStore, lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -87,7 +89,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        self.store.zero_grads()
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
@@ -190,12 +191,9 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
-          log=None) -> TrainResult:
+def train(model: MlsaModel, split: Split, cfg: TrainConfig, log=None) -> TrainResult:
     """Early-stopped Adam training; leaves the model on its best weights."""
     cfg.validate()
-    if dataset.user_count == 0:
-        raise ValueError("empty dataset")
     xs, ys = build_training_examples(split, model.config.max_len, cfg.augment)
     rng = np.random.default_rng(cfg.seed)
     model.reseed_dropout(cfg.seed)
@@ -229,14 +227,13 @@ def train(model: MlsaModel, dataset: Dataset, split: Split, cfg: TrainConfig,
     return best
 
 
-def _fit_seeds(model_cfg: ModelConfig, dataset: Dataset, split: Split,
-               cfg: TrainConfig, log=None):
+def _fit_seeds(model_cfg: ModelConfig, split: Split, cfg: TrainConfig, log=None):
     """Yield (seed, model, train result) for seeds seed..seed+seeds-1."""
     cfg.validate()
     for s in range(cfg.seeds):
         run_cfg = replace(cfg, seed=cfg.seed + s, seeds=1)
         model = MlsaModel(model_cfg, seed=run_cfg.seed)
-        yield run_cfg.seed, model, train(model, dataset, split, run_cfg, log=log)
+        yield run_cfg.seed, model, train(model, split, run_cfg, log=log)
 
 
 def _mean_report(reports: list[MetricsReport]) -> MetricsReport:
@@ -246,15 +243,14 @@ def _mean_report(reports: list[MetricsReport]) -> MetricsReport:
     return MetricsReport(*means, reports[0].k, reports[0].population)
 
 
-def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
-                     cfg: TrainConfig, log=None
-                     ) -> tuple[MetricsReport, list[MetricsReport], list[dict],
-                                MlsaModel]:
+def train_multi_seed(model_cfg: ModelConfig, split: Split, cfg: TrainConfig,
+                     log=None) -> tuple[MetricsReport, list[MetricsReport],
+                                        list[dict], MlsaModel]:
     """Independent runs on seeds seed..seed+seeds-1, each tested on its best
     weights.  Returns the mean test report, the per-seed reports, the
     history rows with one test row per seed, and the first seed's model."""
     reports, rows, first = [], [], None
-    for seed, model, result in _fit_seeds(model_cfg, dataset, split, cfg, log):
+    for seed, model, result in _fit_seeds(model_cfg, split, cfg, log):
         rows.extend(result.history)
         rep = evaluate(model, split, "test", k=cfg.k, mask_history=cfg.mask_history)
         if log:
@@ -271,8 +267,8 @@ def train_multi_seed(model_cfg: ModelConfig, dataset: Dataset, split: Split,
 GRID_KEYS = ("batch_size", "n_layers", "dropout", "n_heads", "n_interests")
 
 
-def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
-                train_cfg: TrainConfig, grid: dict[str, list], log=None
+def grid_search(split: Split, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                grid: dict[str, list], log=None
                 ) -> tuple[ModelConfig, TrainConfig, list[dict]]:
     """Exhaustive product over the grid, each cell early-stop trained on
     every seed; the best mean validation NDCG@k wins (epoch: first seed's)."""
@@ -289,7 +285,7 @@ def grid_search(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         in_model = {k: v for k, v in cell.items() if k in model_keys}
         mc = replace(model_cfg, **in_model)
         tc = replace(train_cfg, **{k: v for k, v in cell.items() if k not in in_model})
-        results = [r for *_, r in _fit_seeds(mc, dataset, split, tc, log)]
+        results = [r for *_, r in _fit_seeds(mc, split, tc, log)]
         valid = _mean_report([r.best_valid for r in results])
         cells.append((mc, tc))
         rows.append({**cell, "ndcg": valid.ndcg_at_k, "hr": valid.hr_at_k,

@@ -320,7 +320,7 @@ def test_criterion_08_learning_sanity():
         cfg = ModelConfig(vocab_size=ds.vocab_size, max_len=50, d_model=64,
                           d_state=32, n_layers=0, variant=variant)
         model = MlsaModel(cfg, seed=0)
-        fit = train(model, ds, split, train_cfg)
+        fit = train(model, split, train_cfg)
         results[variant] = fit
         if variant == "default":
             test_rep = evaluate(model, split, "test", k=10)

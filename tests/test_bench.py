@@ -45,15 +45,17 @@ class TestBenchScaling:
             bench_scaling(["warp_drive"], TINY_LENGTHS)
 
     def test_rows_and_slopes(self):
-        res = bench_scaling(["lsa"], TINY_LENGTHS, reps=5, d_model=16,
+        components = ["lsa", "mamba_block"]
+        res = bench_scaling(components, TINY_LENGTHS, reps=5, d_model=16,
                             d_state=8, n_interests=2)
-        assert len(res.rows) == len(TINY_LENGTHS)
+        assert len(res.rows) == len(components) * len(TINY_LENGTHS)
+        assert [r["component"] for r in res.rows] == \
+            [c for c in components for _ in TINY_LENGTHS]
         for row in res.rows:
-            assert row["component"] == "lsa"
             assert row["mean_ms"] > 0.0
             assert row["reps"] >= 5
-        assert set(res.slopes) == {"lsa"}
-        assert np.isfinite(res.slopes["lsa"])
+        assert set(res.slopes) == set(components)
+        assert all(np.isfinite(s) for s in res.slopes.values())
 
     def test_slope_recomputable_from_csv(self, tmp_path):
         res = bench_scaling(["lsa"], TINY_LENGTHS, reps=5, d_model=16,

@@ -85,6 +85,28 @@ class TestPrep:
                             "--path", str(raw), "--kcore", "3"], capsys)
         assert code == 0
         assert "3 users, 4 items, 12 interactions, avg 4.0" in out
+        # with no cache set, train parses the raw file itself
+        code, out, _ = run(["train", "--dataset", "movielens", "--path",
+                            str(raw), "--kcore", "3", "--k", "2"]
+                           + TINY_MODEL + TINY_TRAIN, capsys)
+        assert code == 0
+        assert "test: hr@2" in out
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gridsearch",
+                                         "gradcheck", "ablate"])
+    def test_no_users_left(self, tmp_path, capsys, command):
+        raw = tmp_path / "ratings.dat"
+        raw.write_text("\n".join(f"{u}::{i}::5::{i}" for u in (1, 2)
+                                 for i in (1, 2, 3)) + "\n")
+        argv = ["--dataset", "movielens", "--path", str(raw), "--kcore", "50"]
+        code, out, _ = run(["prep"] + argv, capsys)
+        assert code == 0
+        assert "0 users, 0 items, 0 interactions, avg 0.0" in out
+        code, _, err = run([command] + argv + TINY_MODEL + TINY_TRAIN
+                           + ["--grid_n_heads", "2", "--checkpoint",
+                              str(tmp_path / "model.ckpt")], capsys)
+        assert code == 1
+        assert f"dataset has no users (--path {raw})" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(["prep", "--dataset", "movielens",
@@ -187,6 +209,16 @@ class TestTrainEvalCli:
         assert f"{key} must be >= 1" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_rejected(self, tmp_path, capsys, lr):
+        ckpt = tmp_path / "model.ckpt"
+        code, out, err = run(["train"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                             + ["--lr", lr, "--checkpoint", str(ckpt)], capsys)
+        assert code == 1
+        assert f"lr must be finite and > 0, got {lr}" in err
+        assert "epoch" not in out
+        assert not ckpt.exists()
+
 
 class TestGradcheckCli:
     def test_toy_problem_passes(self, capsys):
@@ -221,11 +253,15 @@ class TestBenchCli:
 
 
 class TestGridsearchCli:
-    def test_singleton_grid(self, capsys):
+    def test_singleton_grid(self, tmp_path, capsys):
+        out_csv = str(tmp_path / "grid.csv")
         code, out, _ = run(["gridsearch"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
-                           + ["--grid_n_heads", "2"], capsys)
+                           + ["--grid_n_heads", "2", "--out", out_csv], capsys)
         assert code == 0
-        assert "best cell" in out
+        assert "best cell: {'n_heads': 2}" in out
+        rows = read_bench_csv(out_csv)
+        assert len(rows) == 1 and rows[0]["n_heads"] == "2"
+        assert f"valid ndcg@10 {float(rows[0]['ndcg']):.4f}" in out
 
     def test_no_grid_keys(self, capsys):
         code, _, err = run(["gridsearch"] + TINY_DATA, capsys)
@@ -244,6 +280,16 @@ class TestAblateCli:
         rows = read_bench_csv(out_csv)
         assert [r["variant"] for r in rows] == ["default", "v1", "v2",
                                                 "v3", "v4"]
+
+    def test_full_means_four_seeds(self, capsys):
+        outs = []
+        for extra in (["--full"], ["--seeds", "4"]):
+            code, out, _ = run(["ablate"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                               + extra, capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].count(": hr@10") == 5
 
 
 class TestConfigFile:

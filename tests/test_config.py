@@ -131,3 +131,7 @@ class TestTranslation:
         assert tc.seeds == 3
         assert tc.augment == "sliding"
         tc.validate()
+        for lr in ("0", "-0.01", "nan", "inf", "-inf"):
+            tc = build_config(overrides={"lr": lr}).to_train_config()
+            with pytest.raises(ValueError, match="^lr must be finite and > 0"):
+                tc.validate()

@@ -290,8 +290,10 @@ class TestVariants:
             small_config(d_model=6, n_heads=4).validate()
         with pytest.raises(ValueError):
             small_config(dropout=1.0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vocab_size must cover"):
             small_config(vocab_size=1).validate()
+        with pytest.raises(ValueError, match="d_state must be >= 1"):
+            small_config(d_state=0).validate()
         with pytest.raises(ValueError):
             small_config(n_layers=-1).validate()
 

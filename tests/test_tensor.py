@@ -146,6 +146,9 @@ class TestElementwise:
             check_unary(op, x * 0.7)
 
     def test_sigmoid_keeps_dtype_and_saturates_cleanly(self):
+        # float data keeps its precision; anything else becomes float32
+        assert Tensor(np.arange(3)).dtype == np.float32
+        assert Tensor([True, False]).dtype == np.float32
         x = np.array([0.0, 20.0, -20.0, 100.0, -100.0])
         expect = 1.0 / (1.0 + np.exp(-x))
         for dtype in (np.float32, np.float64):

@@ -91,12 +91,13 @@ class TestAdam:
         Adam(store, lr=0.1).step()
         assert p.data[0] == 3.0
 
-    def test_step_clears_gradients(self):
+    def test_step_leaves_gradients(self):
+        # clearing gradients is the job of whoever calls backward
         store = ParameterStore(0)
-        p = store.add("p", np.array([1.0]))
-        p.grad[:] = 5.0
+        p = store.add("p", np.array([1.0, 2.0]))
+        p.grad[:] = [5.0, -3.0]
         Adam(store).step()
-        assert p.grad[0] == 0.0
+        np.testing.assert_array_equal(p.grad, [5.0, -3.0])
 
     def test_descends_quadratic(self):
         store = ParameterStore(0)
@@ -257,13 +258,26 @@ class TestTrainStep:
         for name, p in by_hand.params.entries.items():
             assert np.array_equal(stepped.params.entries[name].data, p.data), name
 
+    def test_ignores_stale_gradients(self):
+        ds, split = tiny_data()
+        xs, ys = build_training_examples(split, 8)
+        mc = tiny_model_config(ds.vocab_size, n_layers=1, dropout=0.2)
+        clean, stale = MlsaModel(mc, seed=9), MlsaModel(mc, seed=9)
+        clean_opt, stale_opt = Adam(clean.params, lr=0.01), Adam(stale.params, lr=0.01)
+        for p in stale.params.entries.values():
+            p.grad[...] = 1e3
+        train_step(clean, clean_opt, xs[:16], ys[:16])
+        train_step(stale, stale_opt, xs[:16], ys[:16])
+        for name, p in clean.params.entries.items():
+            assert np.array_equal(stale.params.entries[name].data, p.data), name
+
 
 class TestTrainLoop:
     def test_loss_decreases_and_history_recorded(self):
         ds, split = tiny_data()
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=0)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs=5, patience=5, seed=0)
-        result = train(model, ds, split, cfg)
+        result = train(model, split, cfg)
         losses = [row["loss"] for row in result.history]
         assert len(losses) == 5
         assert losses[-1] < losses[0]
@@ -273,7 +287,7 @@ class TestTrainLoop:
         ds, split = tiny_data(n_items=50, n_users=30)
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=1)
         cfg = TrainConfig(lr=1e-5, batch_size=64, epochs=1, patience=1, seed=1)
-        result = train(model, ds, split, cfg)
+        result = train(model, split, cfg)
         assert result.history[0]["loss"] == pytest.approx(np.log(51), rel=0.10)
 
     def test_reproducible_first_epoch(self):
@@ -282,14 +296,14 @@ class TestTrainLoop:
         for _ in range(2):
             model = MlsaModel(tiny_model_config(ds.vocab_size), seed=7)
             cfg = TrainConfig(lr=0.01, batch_size=16, epochs=1, seed=7)
-            losses.append(train(model, ds, split, cfg).history[0]["loss"])
+            losses.append(train(model, split, cfg).history[0]["loss"])
         assert losses[0] == losses[1]
 
     def test_model_left_on_best_weights(self):
         ds, split = tiny_data()
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=2)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs=4, patience=4, seed=2)
-        result = train(model, ds, split, cfg)
+        result = train(model, split, cfg)
         rep = evaluate(model, split, "valid", k=10)
         assert rep.ndcg_at_k == pytest.approx(result.best_valid.ndcg_at_k,
                                               abs=1e-12)
@@ -299,7 +313,7 @@ class TestTrainLoop:
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=3)
         # zero learning rate: metrics never improve after the first epoch
         cfg = TrainConfig(lr=1e-12, batch_size=16, epochs=50, patience=2, seed=3)
-        result = train(model, ds, split, cfg)
+        result = train(model, split, cfg)
         assert len(result.history) <= 4
 
     def test_padding_row_stays_frozen(self):
@@ -308,7 +322,7 @@ class TestTrainLoop:
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=4)
         initial = model.embedding.data[0].copy()
         cfg = TrainConfig(lr=0.05, batch_size=16, epochs=2, seed=4)
-        train(model, ds, split, cfg)
+        train(model, split, cfg)
         np.testing.assert_array_equal(model.embedding.data[0], initial)
 
     @pytest.mark.parametrize("key", ["epochs", "patience", "k", "seeds"])
@@ -317,14 +331,14 @@ class TestTrainLoop:
         model = MlsaModel(tiny_model_config(ds.vocab_size), seed=0)
         cfg = replace(TrainConfig(lr=0.01, batch_size=16, epochs=1), **{key: 0})
         with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
-            train(model, ds, split, cfg)
+            train(model, split, cfg)
 
     def test_multi_seed_averages(self):
         ds, split = tiny_data(n_users=12)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=0, seeds=2)
         lines = []
         mean, reports, rows, first = train_multi_seed(
-            tiny_model_config(ds.vocab_size), ds, split, cfg, log=lines.append)
+            tiny_model_config(ds.vocab_size), split, cfg, log=lines.append)
         assert len(reports) == 2
         assert [l for l in lines if l.startswith("test:")] == [
             f"test: {r}" for r in reports]
@@ -341,21 +355,21 @@ class TestGridSearch:
     def test_rejects_unknown_key(self):
         ds, split = tiny_data()
         with pytest.raises(ValueError, match="not searchable"):
-            grid_search(ds, split, tiny_model_config(ds.vocab_size),
+            grid_search(split, tiny_model_config(ds.vocab_size),
                         TrainConfig(), {"lr": [0.1]})
 
     def test_rejects_empty_grid(self):
         ds, split = tiny_data()
         with pytest.raises(ValueError):
-            grid_search(ds, split, tiny_model_config(ds.vocab_size),
+            grid_search(split, tiny_model_config(ds.vocab_size),
                         TrainConfig(), {})
 
     def test_cell_scored_on_mean_over_seeds(self):
         ds, split = tiny_data(n_users=12)
         mc = tiny_model_config(ds.vocab_size)
         tc = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=5, seeds=2)
-        _, _, rows = grid_search(ds, split, mc, tc, {"n_heads": [2]})
-        runs = [train(MlsaModel(mc, seed=s), ds, split, replace(tc, seed=s, seeds=1))
+        _, _, rows = grid_search(split, mc, tc, {"n_heads": [2]})
+        runs = [train(MlsaModel(mc, seed=s), split, replace(tc, seed=s, seeds=1))
                 for s in (5, 6)]
         ndcg = [r.best_valid.ndcg_at_k for r in runs]
         assert ndcg[0] != ndcg[1]       # so one seed alone cannot pass
@@ -366,7 +380,7 @@ class TestGridSearch:
     def test_singleton_grid_returns_cell(self):
         ds, split = tiny_data(n_users=10)
         mc, tc, rows = grid_search(
-            ds, split, tiny_model_config(ds.vocab_size),
+            split, tiny_model_config(ds.vocab_size),
             TrainConfig(lr=0.01, batch_size=16, epochs=1, seed=0),
             {"n_heads": [2], "batch_size": [8]})
         # each key lands in the config that has a field of its name
@@ -376,7 +390,7 @@ class TestGridSearch:
     def test_extreme_dropout_loses(self):
         ds, split = tiny_data(n_items=20, n_users=30)
         mc, tc, rows = grid_search(
-            ds, split, tiny_model_config(ds.vocab_size),
+            split, tiny_model_config(ds.vocab_size),
             TrainConfig(lr=0.02, batch_size=16, epochs=3, seed=0),
             {"dropout": [0.0, 0.9]})
         assert mc.dropout == 0.0
