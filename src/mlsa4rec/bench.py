@@ -129,26 +129,14 @@ def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
     return peak
 
 
-def write_bench_csv(path: str, rows: list[dict]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """Write rows of one shape (bench, grid or ablation reports) as CSV."""
     cols = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
         for r in rows:
             w.writerow([r[c] for c in cols])
-
-
-def read_bench_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    for r in rows:
-        for key in ("L", "reps"):
-            if key in r:
-                r[key] = int(r[key])
-        for key in ("mean_ms", "std_ms"):
-            if key in r:
-                r[key] = float(r[key])
-    return rows
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import bench_scaling, write_bench_csv, write_scaling_svg
+from .bench import bench_scaling, write_csv, write_scaling_svg
 from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
 from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
@@ -179,7 +179,7 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     best_mc, best_tc, rows = grid_search(split, model_cfg, cfg.to_train_config(),
                                          grid, log=print)
     if cfg.out:
-        write_bench_csv(cfg.out, rows)
+        write_csv(cfg.out, rows)
         print(f"grid report written: {cfg.out}")
     chosen = {k: getattr(best_mc if hasattr(best_mc, k) else best_tc, k)
               for k in grid}
@@ -198,7 +198,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     for component, slope in result.slopes.items():
         print(f"slope {component}: {slope:.4f}")
     if cfg.out:
-        write_bench_csv(cfg.out, rows)
+        write_csv(cfg.out, rows)
         print(f"bench rows written: {cfg.out}")
     if cfg.plot:
         write_scaling_svg(cfg.plot, rows)
@@ -243,7 +243,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
                      f"ndcg@{rep.k}": rep.ndcg_at_k, f"mrr@{rep.k}": rep.mrr_at_k})
         print(f"{variant}: {rep}")
     if cfg.out:
-        write_bench_csv(cfg.out, rows)
+        write_csv(cfg.out, rows)
         print(f"ablation table written: {cfg.out}")
     return 0
 

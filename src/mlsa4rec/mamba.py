@@ -98,13 +98,13 @@ def _scan_op(u: Tensor, delta: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Ten
         ud, dd, bd, cd = ud[None], dd[None], bd[None], cd[None]
     need_grad = T.grad_enabled() and any(
         t.requires_grad for t in (u, delta, a, bm, cm))
-    y, h_hist = kernels.scan_forward(ud, dd, ad, bd, cd, need_grad)
+    y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, need_grad)
     out = y[0] if squeeze else y
 
     def bwd(g):
         gy = np.ascontiguousarray(g[None] if squeeze else g)
         du, ddt, da, dbm, dcm = kernels.scan_backward(
-            ud, dd, ad, bd, cd, h_hist, gy)
+            ud, dd, ad, bd, cd, checkpoints, gy)
         if squeeze:
             du, ddt, dbm, dcm = du[0], ddt[0], dbm[0], dcm[0]
         return du, ddt, da, dbm, dcm

@@ -1,14 +1,17 @@
 """Benchmark harness: slope fitting, CSV/SVG output, memory scaling."""
 
+import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from mlsa4rec import kernels
 from mlsa4rec.bench import (bench_scaling, fit_slope, peak_forward_memory,
-                            read_bench_csv, write_bench_csv,
-                            write_scaling_svg, _median_of_means)
+                            write_csv, write_scaling_svg, _median_of_means)
 from mlsa4rec.model import MlsaModel, ModelConfig
+from mlsa4rec.train_eval import Adam, train_step
 
 TINY_LENGTHS = [8, 16, 32, 64]
 
@@ -61,22 +64,13 @@ class TestBenchScaling:
         res = bench_scaling(["lsa"], TINY_LENGTHS, reps=5, d_model=16,
                             d_state=8, n_interests=2)
         path = str(tmp_path / "bench.csv")
-        write_bench_csv(path, res.rows)
-        back = read_bench_csv(path)
-        lengths = [r["L"] for r in back]
-        means = [r["mean_ms"] for r in back]
+        write_csv(path, res.rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            back = list(csv.DictReader(fh))
+        lengths = [int(r["L"]) for r in back]
+        means = [float(r["mean_ms"]) for r in back]
         assert fit_slope(lengths, means) == pytest.approx(res.slopes["lsa"],
                                                           abs=1e-9)
-
-    def test_csv_round_trip_types(self, tmp_path):
-        rows = [{"component": "lsa", "L": 8, "mean_ms": 0.25,
-                 "std_ms": 0.01, "reps": 5}]
-        path = str(tmp_path / "b.csv")
-        write_bench_csv(path, rows)
-        back = read_bench_csv(path)
-        assert back[0]["L"] == 8 and isinstance(back[0]["L"], int)
-        assert back[0]["mean_ms"] == pytest.approx(0.25)
-        assert back[0]["component"] == "lsa"
 
 
 class TestMemory:
@@ -96,6 +90,35 @@ class TestMemory:
             peaks.append(peak_forward_memory(model, ids))
         slope = fit_slope(lengths, peaks)
         assert 0.7 <= slope <= 1.2, f"memory slope {slope}: {peaks}"
+
+
+    def test_training_step_keeps_one_state_per_chunk(self, monkeypatch):
+        # desk widths; with n_layers 1, il.mamba and one stack layer save
+        # states.  B is four row blocks, so the backward's per-chunk
+        # buffers stay small beside the states the chunking saves.
+        B, L, vocab = 64, 50, 501
+        cfg = ModelConfig(vocab_size=vocab, max_len=L, d_model=64, d_state=32,
+                          n_interests=8, n_heads=2, n_layers=1)
+        rng = np.random.default_rng(0)
+        xb = rng.integers(1, vocab, size=(B, L))
+        yb = rng.integers(1, vocab, size=B)
+
+        def peak(chunk_steps):
+            monkeypatch.setattr(kernels, "_CHUNK_STEPS", chunk_steps)
+            model = MlsaModel(cfg, seed=0)
+            opt = Adam(model.params, lr=1e-3)
+            train_step(model, opt, xb, yb)    # Adam's moments exist first
+            tracemalloc.start()
+            try:
+                train_step(model, opt, xb, yb)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        C = kernels._CHUNK_STEPS
+        state_bytes = cfg.d_state * cfg.expand * cfg.d_model * 4
+        saved = (cfg.n_layers + 1) * B * (L - -(-L // C)) * state_bytes
+        assert peak(1) - peak(C) >= 0.9 * saved
 
 
 class TestSvg:

@@ -1,12 +1,12 @@
 """Command-line interface: argument handling, commands, files, exit codes."""
 
+import csv
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mlsa4rec.bench import read_bench_csv
 from mlsa4rec.cli import main
 
 TINY_DATA = ["--dataset", "synthetic", "--syn_items", "30",
@@ -14,6 +14,12 @@ TINY_DATA = ["--dataset", "synthetic", "--syn_items", "30",
 TINY_MODEL = ["--max_len", "8", "--d_model", "8", "--d_state", "4",
               "--n_interests", "2", "--n_heads", "2", "--n_layers", "0"]
 TINY_TRAIN = ["--epochs", "1", "--batch_size", "16", "--lr", "0.01"]
+
+
+def read_csv(path):
+    """A report's rows, every value a string."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run(args, capsys):
@@ -243,8 +249,8 @@ class TestBenchCli:
                             "--out", out_csv, "--plot", out_svg], capsys)
         assert code == 0
         assert "slope lsa:" in out
-        rows = read_bench_csv(out_csv)
-        assert len(rows) == 4
+        rows = read_csv(out_csv)
+        assert [int(r["L"]) for r in rows] == [8, 16, 32, 64]
         assert "<svg" in open(out_svg).read()
 
     def test_bad_lengths_fail_cleanly(self, capsys):
@@ -259,8 +265,8 @@ class TestGridsearchCli:
                            + ["--grid_n_heads", "2", "--out", out_csv], capsys)
         assert code == 0
         assert "best cell: {'n_heads': 2}" in out
-        rows = read_bench_csv(out_csv)
-        assert len(rows) == 1 and rows[0]["n_heads"] == "2"
+        rows = read_csv(out_csv)
+        assert len(rows) == 1 and int(rows[0]["n_heads"]) == 2
         assert f"valid ndcg@10 {float(rows[0]['ndcg']):.4f}" in out
 
     def test_no_grid_keys(self, capsys):
@@ -277,7 +283,7 @@ class TestAblateCli:
         assert code == 0
         for variant in ("default", "v1", "v2", "v3", "v4"):
             assert f"{variant}: hr@10" in out
-        rows = read_bench_csv(out_csv)
+        rows = read_csv(out_csv)
         assert [r["variant"] for r in rows] == ["default", "v1", "v2",
                                                 "v3", "v4"]
 

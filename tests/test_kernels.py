@@ -49,12 +49,19 @@ class TestBackendAgreement:
 
 
 class TestScan:
-    def test_saved_states_hold_one_state_per_step(self):
+    def test_saved_states_hold_one_state_per_chunk(self, monkeypatch):
         rng = np.random.default_rng(2)
-        B, L, E, N = 3, 5, 4, 2
+        C = kernels._CHUNK_STEPS
+        B, L, E, N = 3, 2 * C + 3, 4, 2
         args = random_instance(rng, B, L, E, N, dtype=np.float32)
         _, h = kernels.scan_forward(*args, True)
-        assert h.nbytes == B * L * E * N * np.dtype(np.float32).itemsize
+        assert h.nbytes == B * -(-L // C) * N * E * np.dtype(np.float32).itemsize
+        # checkpoint k is the state entering step k*C: zero for chunk 0,
+        # and with one-step chunks every such state is kept
+        monkeypatch.setattr(kernels, "_CHUNK_STEPS", 1)
+        _, every = kernels.scan_forward(*args, True)
+        assert not every[:, 0].any()
+        np.testing.assert_array_equal(h, every[:, ::C])
 
     def test_saving_states_leaves_output_unchanged(self):
         rng = np.random.default_rng(4)
@@ -136,3 +143,23 @@ class TestScan:
         scale = np.abs(da64).max()
         np.testing.assert_allclose(da32, da64, rtol=0,
                                    atol=8 * np.finfo(np.float32).eps * scale)
+
+    def test_chunk_length_leaves_results_unchanged(self, monkeypatch):
+        # L = 3C + 1: full chunks and a one-step tail, under every length
+        default = kernels._CHUNK_STEPS
+        L = 3 * default + 1
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            args = random_instance(rng, batch=3, seq=L, dtype=dtype)
+            args[2][0, 0] = -1e-9
+            args[2][1, 2] = 1e-10
+            gy = rng.standard_normal(args[0].shape).astype(dtype)
+            runs = []
+            for steps in (1, 2, default, L + 2):
+                monkeypatch.setattr(kernels, "_CHUNK_STEPS", steps)
+                y, h = kernels.scan_forward(*args, True)
+                runs.append((y,) + kernels.scan_backward(*args, h, gy))
+            for run in runs[1:]:
+                for name, x1, x2 in zip(("y", "u", "delta", "a", "bm", "cm"),
+                                        runs[0], run):
+                    np.testing.assert_array_equal(x2, x1, err_msg=name)
