@@ -53,7 +53,7 @@ def interest_aggregate(hmat: Tensor, theta: Tensor, keep: np.ndarray | None = No
     interest.  Rows where keep ([.., L, 1], boolean) is false get z = 0,
     so they add nothing to the pools.
     """
-    z = T.softmax(T.matmul(hmat, T.transpose_last(theta)), axis=-1)
+    z = T.softmax(T.matmul(hmat, T.transpose_last(theta)))
     if keep is not None:
         z = T.masked_fill(z, keep)
     pooled = T.matmul(T.transpose_last(z), hmat)
@@ -92,8 +92,7 @@ def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
     for qi, kpi, vpi in zip(_split_heads(q, p.n_heads),
                             _split_heads(k_pool, p.n_heads),
                             _split_heads(v_pool, p.n_heads)):
-        attn = T.softmax(
-            T.scale(T.matmul(qi, T.transpose_last(kpi)), inv_scale), axis=-1)
+        attn = T.softmax(T.scale(T.matmul(qi, T.transpose_last(kpi)), inv_scale))
         outs.append(T.matmul(attn, vpi))
     return T.concat_last(outs)
 
@@ -119,6 +118,6 @@ def vanilla_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
         scores = T.scale(T.matmul(qi, T.transpose_last(ki)), inv_scale)
         if keep_keys is not None:
             scores = T.masked_fill(scores, keep_keys, MASKED_SCORE)
-        attn = T.softmax(scores, axis=-1)
+        attn = T.softmax(scores)
         outs.append(T.matmul(attn, vi))
     return T.concat_last(outs)

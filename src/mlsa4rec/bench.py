@@ -7,10 +7,9 @@ attention near 2.  Also measures peak forward memory.
 
 from __future__ import annotations
 
-import csv
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +20,11 @@ from .model import MlsaModel, ModelConfig
 from .tensor import ParameterStore, Tensor
 
 COMPONENTS = ("mamba_block", "lsa", "vanilla_attention", "full_model")
+
+# every point times a forward pass over this many sequences of one length
+BATCH_SIZE = 2
+# full_model scores this many items (id 0 is padding)
+VOCAB_SIZE = 1000
 
 
 @dataclass
@@ -35,59 +39,63 @@ def fit_slope(lengths, means) -> float:
                             np.log(np.asarray(means, dtype=np.float64)), 1)[0])
 
 
-def _median_of_means(samples: list[float], groups: int = 5) -> float:
+def _median_of_means(samples: list[float]) -> float:
+    """Median of the means of 5 consecutive groups of samples."""
     arr = np.asarray(samples, dtype=np.float64)
-    chunks = np.array_split(arr, min(groups, len(arr)))
+    chunks = np.array_split(arr, min(5, len(arr)))
     return float(np.median([c.mean() for c in chunks]))
 
 
-def _component_fn(component: str, seq_len: int, seed: int, batch_size: int,
-                  d_model: int, d_state: int, n_interests: int, n_heads: int):
+def _component_fn(component: str, cfg: ModelConfig, seed: int):
+    """One forward pass of the component built from cfg, over BATCH_SIZE
+    sequences of length cfg.max_len."""
     rng = np.random.default_rng(seed)
+    batch = (BATCH_SIZE, cfg.max_len)
     if component == "full_model":
-        cfg = ModelConfig(vocab_size=1000, max_len=seq_len, d_model=d_model,
-                          d_state=d_state, n_interests=n_interests,
-                          n_heads=n_heads)
         model = MlsaModel(cfg, seed=seed)
-        ids = rng.integers(1, cfg.vocab_size, size=(batch_size, seq_len))
+        ids = rng.integers(1, cfg.vocab_size, size=batch)
         return lambda: model.score(ids)
     store = ParameterStore(seed)
-    x = Tensor((rng.standard_normal((batch_size, seq_len, d_model)) * 0.1)
+    x = Tensor((rng.standard_normal((*batch, cfg.d_model)) * 0.1)
                .astype(np.float32))
     if component == "mamba_block":
-        params = init_mamba(store, "m", d_model, d_state, 4, 2)
+        params = init_mamba(store, "m", cfg.d_model, cfg.d_state, cfg.d_conv,
+                            cfg.expand)
         return lambda: mamba_block(x, params)
     if component == "lsa":
-        params = init_lsa(store, "a", d_model, n_interests, n_heads)
+        params = init_lsa(store, "a", cfg.d_model, cfg.n_interests, cfg.n_heads)
         return lambda: lsa_attention(x, params)
     if component == "vanilla_attention":
-        params = init_lsa(store, "a", d_model, n_interests, n_heads,
+        params = init_lsa(store, "a", cfg.d_model, cfg.n_interests, cfg.n_heads,
                           with_theta=False)
         return lambda: vanilla_attention(x, params)
     raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
 
 
-def bench_scaling(components, lengths, reps: int = 5, seed: int = 0,
-                  batch_size: int = 2, d_model: int = 64, d_state: int = 32,
-                  n_interests: int = 8, n_heads: int = 2, log=None
-                  ) -> BenchResult:
+def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
+                  **shape) -> BenchResult:
     """Forward-only wall-clock per component per sequence length.
 
-    Repetitions are interleaved across all (component, length) points so
-    transient machine-load bursts spread evenly instead of biasing one
-    point; each point reports a median-of-means over its samples.
+    Every component is built from one ModelConfig: shape takes any of its
+    fields, max_len is set to each length in turn and vocab_size is
+    VOCAB_SIZE.  Repetitions are interleaved across all (component,
+    length) points so transient machine-load bursts spread evenly instead
+    of biasing one point; each point reports a median-of-means over its
+    samples.
     """
     lengths = list(lengths)
     if len(lengths) < 4 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("need >= 4 strictly increasing sequence lengths")
     if reps < 5:
         raise ValueError("reps must be >= 5")
+    cfg = ModelConfig(vocab_size=VOCAB_SIZE, **shape)
+    cfg.validate()
     points = []
     with T.no_grad():
         for component in components:
             for seq_len in lengths:
-                fn = _component_fn(component, seq_len, seed, batch_size,
-                                   d_model, d_state, n_interests, n_heads)
+                fn = _component_fn(component, replace(cfg, max_len=seq_len),
+                                   seed)
                 for _ in range(3):
                     fn()
                 points.append((component, seq_len, fn))
@@ -129,22 +137,13 @@ def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
     return peak
 
 
-def write_csv(path: str, rows: list[dict]) -> None:
-    """Write rows of one shape (bench, grid or ablation reports) as CSV."""
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r[c] for c in cols])
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def write_scaling_svg(path: str, rows: list[dict], width: int = 640,
-                      height: int = 480) -> None:
-    """Log-log line chart of mean_ms vs L, one polyline per component."""
+def write_scaling_svg(path: str, rows: list[dict]) -> None:
+    """Log-log line chart of mean_ms vs L, one polyline per component, on a
+    640 x 480 canvas."""
+    width, height = 640, 480
     series: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
         series.setdefault(r["component"], []).append((r["L"], r["mean_ms"]))

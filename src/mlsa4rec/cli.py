@@ -16,23 +16,23 @@ overrides; keys are listed by `mlsa4rec help`.  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import csv
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .bench import bench_scaling, write_csv, write_scaling_svg
+from .bench import bench_scaling, write_scaling_svg
 from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
 from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
                    load_dataset_cache, pad_truncate, parse_amazon,
                    parse_movielens, save_dataset_cache, split_dataset,
                    synthetic_successor_dataset)
-from .model import VARIANTS, MlsaModel, ModelConfig
+from .model import VARIANTS, MlsaModel
 from .tensor import load_checkpoint, save_checkpoint
-from .train_eval import (evaluate, grid_search, model_grad_check,
-                         train_multi_seed, write_metrics_csv)
+from .train_eval import evaluate, grid_search, model_grad_check, train_multi_seed
 
 USAGE = """usage: mlsa4rec <command> [--config FILE] [--key=value ...]
 
@@ -47,10 +47,6 @@ commands:
   help        show all config keys
 
 run `mlsa4rec help` for the key reference."""
-
-COMMANDS = ("prep", "train", "eval", "gridsearch", "bench", "gradcheck",
-            "ablate", "help")
-
 
 class UsageError(Exception):
     pass
@@ -83,6 +79,17 @@ def _parse_args(argv: list[str]) -> RunConfig:
             overrides[key] = value
         i += 1
     return build_config(file_values, overrides)
+
+
+def write_csv(path: str, rows: list[dict]) -> None:
+    """Write rows of one shape (a metrics, bench, grid or ablation report)
+    as CSV, the columns in the first row's key order."""
+    cols = list(rows[0].keys())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for r in rows:
+            w.writerow([r[c] for c in cols])
 
 
 def _resolve_path(path: str) -> str:
@@ -150,7 +157,7 @@ def cmd_train(cfg: RunConfig) -> int:
         save_checkpoint(model.params, cfg.checkpoint)
         print(f"checkpoint written: {cfg.checkpoint}")
     if cfg.metrics_csv:
-        write_metrics_csv(cfg.metrics_csv, rows, k=train_cfg.k)
+        write_csv(cfg.metrics_csv, rows)
         print(f"metrics written: {cfg.metrics_csv}")
     return 0
 
@@ -190,10 +197,8 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     result = bench_scaling(cfg.str_list("components"),
                            cfg.int_list("bench_lengths"),
-                           reps=cfg.bench_reps, seed=cfg.seed,
-                           d_model=cfg.d_model, d_state=cfg.d_state,
-                           n_interests=cfg.n_interests,
-                           n_heads=cfg.n_heads, log=print)
+                           reps=cfg.bench_reps, seed=cfg.seed, log=print,
+                           **cfg.model_keys())
     rows = result.rows
     for component, slope in result.slopes.items():
         print(f"slope {component}: {slope:.4f}")
@@ -208,8 +213,9 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
     if cfg.toy:
-        model_cfg = ModelConfig(vocab_size=20, max_len=8, d_model=8, d_state=4,
-                                n_interests=2, n_heads=2, n_layers=1)
+        # the toy problem fixes its sizes; every other model key is the run's
+        model_cfg = replace(cfg.to_model_config(20), max_len=8, d_model=8,
+                            d_state=4, n_interests=2, n_heads=2, n_layers=1)
         rng = np.random.default_rng(cfg.seed)
         ids = rng.integers(1, 20, size=(2, 8))
         targets = rng.integers(1, 20, size=2)
@@ -239,8 +245,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for variant in VARIANTS:
         rep, *_ = train_multi_seed(replace(base_cfg, variant=variant), split,
                                    train_cfg)
-        rows.append({"variant": variant, f"hr@{rep.k}": rep.hr_at_k,
-                     f"ndcg@{rep.k}": rep.ndcg_at_k, f"mrr@{rep.k}": rep.mrr_at_k})
+        rows.append({"variant": variant, **rep.columns()})
         print(f"{variant}: {rep}")
     if cfg.out:
         write_csv(cfg.out, rows)
@@ -268,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     command, rest = argv[0], argv[1:]
     if command in ("-h", "--help"):
         command = "help"
-    if command not in COMMANDS:
+    if command not in HANDLERS:
         print(f"unknown command: {command}\n{USAGE}", file=sys.stderr)
         return 2
     try:

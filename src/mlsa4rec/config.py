@@ -115,12 +115,14 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key) from None
 
+    def model_keys(self) -> dict[str, Any]:
+        """The config keys named after ModelConfig fields: every field but
+        vocab_size."""
+        return {f.name: self.values[f.name] for f in fields(ModelConfig)
+                if f.name != "vocab_size"}
+
     def to_model_config(self, vocab_size: int) -> ModelConfig:
-        """Every ModelConfig field but vocab_size is the config key of the
-        same name."""
-        return ModelConfig(vocab_size=vocab_size, **{
-            f.name: self.values[f.name] for f in fields(ModelConfig)
-            if f.name != "vocab_size"})
+        return ModelConfig(vocab_size=vocab_size, **self.model_keys())
 
     def to_train_config(self) -> TrainConfig:
         """Every TrainConfig field is the config key of the same name."""

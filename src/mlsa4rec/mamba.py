@@ -29,7 +29,6 @@ class SsmParams:
     proj_delta_w: Tensor     # [E_inner, E_inner]
     proj_delta_b: Tensor     # [E_inner]
     skip_d: Tensor           # [E_inner]
-    d_state: int
 
 
 @dataclass
@@ -54,8 +53,7 @@ def init_ssm(store: ParameterStore, prefix: str, e_inner: int,
     dt0 = np.exp(store.rng.uniform(lo, hi, size=e_inner))
     proj_delta_b = store.add(f"{prefix}.proj_delta.b", np.log(np.expm1(dt0)))
     skip_d = store.add(f"{prefix}.skip_d", np.ones(e_inner))
-    return SsmParams(a_log, proj_b, proj_c, proj_delta_w, proj_delta_b,
-                     skip_d, d_state)
+    return SsmParams(a_log, proj_b, proj_c, proj_delta_w, proj_delta_b, skip_d)
 
 
 def init_mamba(store: ParameterStore, prefix: str, d_model: int, d_state: int,

@@ -248,7 +248,7 @@ class MlsaModel:
         """Distribution over all items for the next interaction."""
         with T.no_grad():
             logits, _ = self.forward(ids, training=False)
-            return T.softmax(logits, axis=-1).data
+            return T.softmax(logits).data
 
     def cast_float64(self) -> None:
         """Cast every parameter to float64 in place (gradient checking).

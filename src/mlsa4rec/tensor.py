@@ -21,6 +21,12 @@ DEFAULT_DTYPE = np.float32
 CHECKPOINT_MAGIC = b"MLSA"
 CHECKPOINT_VERSION = 1
 
+# added to the variance in layernorm, so a constant row divides by a
+# finite number
+LAYERNORM_EPS = 1e-12
+# central-difference step of grad_check, sized for float64 parameters
+GRAD_CHECK_EPS = 1e-4
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -89,9 +95,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     # -- autodiff -----------------------------------------------------
 
@@ -311,31 +314,27 @@ def tmean(a: Tensor) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Exp-normalize along an axis with max-subtraction for stability."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Exp-normalize along the last axis with max-subtraction for stability."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
     return make_op(out, (x,), bwd, "softmax")
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standardize each row over the last axis, then apply gain and bias."""
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layernorm: gain/bias must match the feature width")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -570,7 +569,7 @@ def load_checkpoint(path: str) -> ParameterStore:
 # ---------------------------------------------------------------------------
 
 def grad_check(f: Callable[[ParameterStore], Tensor], params: ParameterStore,
-               n_samples: int = 50, eps: float = 1e-4, seed: int = 0) -> float:
+               n_samples: int = 50, seed: int = 0) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     f must be a deterministic scalar function of the store (seed fixed,
@@ -594,12 +593,12 @@ def grad_check(f: Callable[[ParameterStore], Tensor], params: ParameterStore,
         for name, idx in picked:
             flat = params[name].data.reshape(-1)
             orig = flat[idx]
-            flat[idx] = orig + eps
+            flat[idx] = orig + GRAD_CHECK_EPS
             f_plus = float(f(params).data)
-            flat[idx] = orig - eps
+            flat[idx] = orig - GRAD_CHECK_EPS
             f_minus = float(f(params).data)
             flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
+            fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
             an = float(params[name].grad.reshape(-1)[idx])
             denom = max(abs(fd), abs(an))
             if denom < 1e-7:

@@ -8,7 +8,6 @@ the target) and averages hit rate, NDCG, and reciprocal rank at a cutoff.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field, fields, replace
 
@@ -50,9 +49,14 @@ class MetricsReport:
     k: int
     population: int
 
+    def columns(self) -> dict[str, float]:
+        """The three metrics under their report names, hr@k, ndcg@k, mrr@k."""
+        return {f"hr@{self.k}": self.hr_at_k, f"ndcg@{self.k}": self.ndcg_at_k,
+                f"mrr@{self.k}": self.mrr_at_k}
+
     def __str__(self) -> str:
-        return (f"hr@{self.k} {self.hr_at_k:.4f} ndcg@{self.k} "
-                f"{self.ndcg_at_k:.4f} mrr@{self.k} {self.mrr_at_k:.4f}")
+        return " ".join(f"{name} {value:.4f}"
+                        for name, value in self.columns().items())
 
 
 def ce_loss(logits: Tensor, target) -> Tensor:
@@ -60,35 +64,37 @@ def ce_loss(logits: Tensor, target) -> Tensor:
     return T.cross_entropy(logits, target)
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam; step() updates parameters in place from their
     .grad and leaves .grad as it is.  Whoever calls backward() clears the
     gradients first."""
 
-    def __init__(self, store: ParameterStore, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParameterStore, lr: float = 0.001):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(t.data) for n, t in store.entries.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in store.entries.items()}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.store.entries.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
@@ -120,15 +126,14 @@ def _eval_inputs(split: Split, phase: str) -> tuple[list[list[int]], list[int]]:
 
 
 def evaluate(model, split: Split, phase: str = "valid", k: int = 10,
-             max_len: int | None = None, mask_history: bool = False,
-             batch_size: int = 256) -> MetricsReport:
+             mask_history: bool = False, batch_size: int = 256) -> MetricsReport:
     """Average HR/NDCG/MRR@k of the held-out target over all users.
 
-    model only needs a score(ids[B, L]) -> [B, vocab] method.  Each metric
-    is summed in user order, then divided by the user count.
+    model only needs a score(ids[B, L]) -> [B, vocab] method and a
+    config.max_len, the length histories are padded or cut to.  Each
+    metric is summed in user order, then divided by the user count.
     """
-    if max_len is None:
-        max_len = model.config.max_len
+    max_len = model.config.max_len
     histories, targets = _eval_inputs(split, phase)
     n = len(targets)
     hr = ndcg = mrr = 0.0
@@ -210,8 +215,7 @@ def train(model: MlsaModel, split: Split, cfg: TrainConfig, log=None) -> TrainRe
         epoch_loss = total / len(ys)
         report = evaluate(model, split, "valid", k=cfg.k,
                           mask_history=cfg.mask_history)
-        row = {"phase": "valid", "epoch": epoch, "hr": report.hr_at_k,
-               "ndcg": report.ndcg_at_k, "mrr": report.mrr_at_k,
+        row = {"phase": "valid", "epoch": epoch, **report.columns(),
                "loss": epoch_loss, "seed": cfg.seed}
         best.history.append(row)
         if log:
@@ -256,8 +260,7 @@ def train_multi_seed(model_cfg: ModelConfig, split: Split, cfg: TrainConfig,
         if log:
             log(f"test: {rep}")
         rows.append({"phase": "test", "epoch": result.best_epoch,
-                     "hr": rep.hr_at_k, "ndcg": rep.ndcg_at_k,
-                     "mrr": rep.mrr_at_k, "loss": float("nan"), "seed": seed})
+                     **rep.columns(), "loss": float("nan"), "seed": seed})
         reports.append(rep)
         first = first or model
     return _mean_report(reports), reports, rows, first
@@ -279,7 +282,7 @@ def grid_search(split: Split, model_cfg: ModelConfig, train_cfg: TrainConfig,
         raise ValueError(f"grid keys {unknown} not searchable; allowed: {GRID_KEYS}")
     model_keys = {f.name for f in fields(ModelConfig)}
     names = sorted(grid)
-    cells, rows = [], []
+    cells, scores, rows = [], [], []
     for values in itertools.product(*(grid[n] for n in names)):
         cell = dict(zip(names, values))
         in_model = {k: v for k, v in cell.items() if k in model_keys}
@@ -288,11 +291,11 @@ def grid_search(split: Split, model_cfg: ModelConfig, train_cfg: TrainConfig,
         results = [r for *_, r in _fit_seeds(mc, split, tc, log)]
         valid = _mean_report([r.best_valid for r in results])
         cells.append((mc, tc))
-        rows.append({**cell, "ndcg": valid.ndcg_at_k, "hr": valid.hr_at_k,
-                     "mrr": valid.mrr_at_k, "epoch": results[0].best_epoch})
+        scores.append(valid.ndcg_at_k)
+        rows.append({**cell, **valid.columns(), "epoch": results[0].best_epoch})
         if log:
             log(f"grid cell {cell}: valid ndcg@{tc.k} {valid.ndcg_at_k:.4f}")
-    best = max(range(len(rows)), key=lambda i: rows[i]["ndcg"])  # first of ties
+    best = max(range(len(rows)), key=scores.__getitem__)  # first of ties
     return *cells[best], rows
 
 
@@ -313,14 +316,3 @@ def model_grad_check(model_cfg: ModelConfig, ids: np.ndarray,
         return ce_loss(logits, targets)
 
     return T.grad_check(loss_fn, model.params, n_samples=n_samples, seed=seed)
-
-
-def write_metrics_csv(path: str, rows: list[dict], k: int = 10) -> None:
-    """Emit history rows with the documented column layout."""
-    cols = ["phase", "epoch", f"hr@{k}", f"ndcg@{k}", f"mrr@{k}", "loss", "seed"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r["phase"], r["epoch"], r["hr"], r["ndcg"], r["mrr"],
-                        r["loss"], r["seed"]])

@@ -9,7 +9,8 @@ import pytest
 
 from mlsa4rec import kernels
 from mlsa4rec.bench import (bench_scaling, fit_slope, peak_forward_memory,
-                            write_csv, write_scaling_svg, _median_of_means)
+                            write_scaling_svg, _median_of_means)
+from mlsa4rec.cli import write_csv
 from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.train_eval import Adam, train_step
 

@@ -3,11 +3,16 @@
 import csv
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mlsa4rec.cli import main
+from mlsa4rec import bench, cli, train_eval
+from mlsa4rec.cli import main, write_csv
+from mlsa4rec.config import build_config
+from mlsa4rec.model import VARIANTS, MlsaModel
+from mlsa4rec.train_eval import MetricsReport
 
 TINY_DATA = ["--dataset", "synthetic", "--syn_items", "30",
              "--syn_users", "12", "--syn_len", "5"]
@@ -114,6 +119,18 @@ class TestPrep:
         assert code == 1
         assert f"dataset has no users (--path {raw})" in err
 
+    def test_user_with_two_events_fails_the_split(self, tmp_path, capsys):
+        # every user and item survives the 2-core, but user 3 has only two
+        # events, too few for a validation and a test target
+        raw = tmp_path / "ratings.dat"
+        raw.write_text("\n".join(f"{u}::{i}::5::{i}" for u in (1, 2, 3)
+                                 for i in (1, 2, 3) if (u, i) != (3, 3)) + "\n")
+        code, out, err = run(["prep", "--dataset", "movielens",
+                              "--path", str(raw), "--kcore", "2"], capsys)
+        assert code == 1
+        assert "leave-one-out split needs >= 3 interactions per user" in err
+        assert "users" not in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(["prep", "--dataset", "movielens",
                             "--path", "/no/such/file.dat"], capsys)
@@ -157,6 +174,7 @@ class TestTrainEvalCli:
         assert "checkpoint written" in out
         header = open(csv_path).readline().strip()
         assert header == "phase,epoch,hr@10,ndcg@10,mrr@10,loss,seed"
+        assert [r["phase"] for r in read_csv(csv_path)] == ["valid", "test"]
 
         code, out, _ = run(["eval"] + TINY_DATA + TINY_MODEL
                            + ["--checkpoint", ckpt], capsys)
@@ -237,6 +255,12 @@ class TestGradcheckCli:
         assert code == 0
         assert "gradcheck passed" in out
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_toy_problem_passes_for_every_variant(self, variant, capsys):
+        code, out, _ = run(["gradcheck", "--toy", "--variant", variant], capsys)
+        assert code == 0
+        assert "gradcheck passed" in out
+
 
 class TestBenchCli:
     def test_scaling_mode_with_outputs(self, tmp_path, capsys):
@@ -267,7 +291,7 @@ class TestGridsearchCli:
         assert "best cell: {'n_heads': 2}" in out
         rows = read_csv(out_csv)
         assert len(rows) == 1 and int(rows[0]["n_heads"]) == 2
-        assert f"valid ndcg@10 {float(rows[0]['ndcg']):.4f}" in out
+        assert f"valid ndcg@10 {float(rows[0]['ndcg@10']):.4f}" in out
 
     def test_no_grid_keys(self, capsys):
         code, _, err = run(["gridsearch"] + TINY_DATA, capsys)
@@ -296,6 +320,89 @@ class TestAblateCli:
             outs.append(out)
         assert outs[0] == outs[1]
         assert outs[0].count(": hr@10") == 5
+
+
+# model keys set away from their defaults; gradcheck --toy fixes TOY_SIZES
+CONFIGURED = {"max_len": "8", "d_model": "8", "d_state": "4",
+              "n_interests": "2", "n_heads": "2", "n_layers": "0",
+              "variant": "v2", "expand": "1", "d_conv": "2"}
+TOY_SIZES = ("d_model", "d_state", "n_interests", "n_heads", "n_layers")
+BENCH_ARGS = ["--components", "full_model,mamba_block",
+              "--bench_lengths", "8,16,32,64", "--bench_reps", "5"]
+
+
+class TestModelFlags:
+    """Every command builds the model its flags describe."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Each MlsaModel config and each bench mamba_block's parameter
+        shapes, in the order they are built or run."""
+        record = {"configs": [], "mamba_shapes": set()}
+        real_mamba_block = bench.mamba_block
+
+        class Recording(MlsaModel):
+            def __init__(self, config, seed=0):
+                record["configs"].append(config)
+                super().__init__(config, seed)
+
+        def mamba_block(x, p, keep=None):
+            record["mamba_shapes"].add((p.in_proj.shape, p.conv_w.shape))
+            return real_mamba_block(x, p, keep)
+
+        for module in (cli, train_eval, bench):
+            monkeypatch.setattr(module, "MlsaModel", Recording)
+        monkeypatch.setattr(bench, "mamba_block", mamba_block)
+        return record
+
+    @pytest.mark.parametrize("argv", [
+        ["train"] + TINY_DATA + TINY_TRAIN,
+        ["eval"] + TINY_DATA,
+        ["gridsearch"] + TINY_DATA + TINY_TRAIN + ["--grid_n_heads", "2"],
+        ["ablate"] + TINY_DATA + TINY_TRAIN,
+        ["gradcheck"] + TINY_DATA,
+        ["gradcheck", "--toy"],
+        ["bench"] + BENCH_ARGS,
+    ], ids=["train", "eval", "gridsearch", "ablate", "gradcheck",
+            "gradcheck-toy", "bench"])
+    def test_command_builds_the_configured_model(self, argv, built, tmp_path,
+                                                 capsys):
+        flags = [f"--{key}={value}" for key, value in CONFIGURED.items()]
+        if argv[0] == "eval":
+            ckpt = str(tmp_path / "model.ckpt")
+            argv = argv + ["--checkpoint", ckpt]
+            assert main(["train"] + TINY_DATA + TINY_TRAIN + flags
+                        + ["--checkpoint", ckpt]) == 0
+            built["configs"].clear()
+        code, _, err = run(argv + flags, capsys)
+        assert code == 0, err
+        assert built["configs"]
+        free = {"vocab_size", "max_len"}
+        if "--toy" in argv:
+            free.update(TOY_SIZES)
+        if argv[0] == "ablate":
+            free.add("variant")      # ablate trains every variant in turn
+            assert [c.variant for c in built["configs"]] == list(VARIANTS)
+        want = asdict(build_config(overrides=CONFIGURED).to_model_config(2))
+        for config in built["configs"]:
+            got = asdict(config)
+            assert {k: v for k, v in got.items() if k not in free} == \
+                {k: v for k, v in want.items() if k not in free}
+        if argv[0] == "bench":
+            # in_proj [d_model, 2 * expand * d_model], conv [expand * d_model, d_conv]
+            assert built["mamba_shapes"] == {((8, 16), (8, 2))}
+
+
+class TestWriteCsv:
+    def test_metrics_row_layout(self, tmp_path):
+        rep = MetricsReport(0.5, 0.4, 0.3, k=10, population=1)
+        path = str(tmp_path / "metrics.csv")
+        write_csv(path, [{"phase": "valid", "epoch": 0, **rep.columns(),
+                          "loss": 2.5, "seed": 1}])
+        lines = open(path).read().strip().splitlines()
+        assert lines == ["phase,epoch,hr@10,ndcg@10,mrr@10,loss,seed",
+                         "valid,0,0.5,0.4,0.3,2.5,1"]
+        assert str(rep) == "hr@10 0.5000 ndcg@10 0.4000 mrr@10 0.3000"
 
 
 class TestConfigFile:

@@ -163,23 +163,23 @@ class TestElementwise:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        out = T.softmax(Tensor(rng.standard_normal((5, 7))), axis=-1).data
+        out = T.softmax(Tensor(rng.standard_normal((5, 7)))).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_softmax_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 6))
         naive = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
-        got = T.softmax(Tensor(x), axis=-1).data
+        got = T.softmax(Tensor(x)).data
         np.testing.assert_allclose(got, naive, rtol=1e-6)
 
     def test_softmax_grad(self):
         rng = np.random.default_rng(8)
-        check_unary(lambda t: T.softmax(t, axis=-1),
+        check_unary(lambda t: T.softmax(t),
                     rng.standard_normal((3, 5)))
 
     def test_softmax_stable_at_large_logits(self):
-        out = T.softmax(Tensor(np.array([[1000.0, 1000.0, 0.0]])), axis=-1).data
+        out = T.softmax(Tensor(np.array([[1000.0, 1000.0, 0.0]]))).data
         np.testing.assert_allclose(out[0, :2], 0.5, atol=1e-6)
 
     def test_gelu_exact_form(self):
@@ -213,11 +213,6 @@ class TestLayernorm:
         for t in (x, g, b):
             np.testing.assert_allclose(t.grad, numeric_grad(f, t.data),
                                        rtol=1e-4, atol=1e-7)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            T.layernorm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
-                        Tensor(np.zeros(3)), eps=0.0)
 
 
 class TestEmbeddingAndStructure:
@@ -289,7 +284,7 @@ class TestGraphMechanics:
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_softmax_distribution_property(self, vals):
-        out = T.softmax(Tensor(np.array([vals])), axis=-1).data
+        out = T.softmax(Tensor(np.array([vals]))).data
         assert np.all(out > 0)
         assert abs(out.sum() - 1.0) < 1e-5
 

@@ -1,6 +1,7 @@
 """Loss, optimizer, metrics, evaluation protocol, training loop, grid search."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mlsa4rec.tensor import ParameterStore, Tensor
 from mlsa4rec.train_eval import (Adam, TrainConfig, build_training_examples,
                                  ce_loss, evaluate, grid_search, metrics_at_k,
                                  model_grad_check, rank_of_target, train,
-                                 train_multi_seed, train_step, write_metrics_csv)
+                                 train_multi_seed, train_step)
 
 
 def tiny_data(n_items=30, n_users=40, seq_len=6, seed=0):
@@ -30,8 +31,9 @@ def tiny_model_config(vocab_size, **kw):
 class SuccessorOracle:
     """Stub scorer that knows the generating rule of the synthetic data."""
 
-    def __init__(self, n_items):
+    def __init__(self, n_items, max_len=8):
         self.n_items = n_items
+        self.config = SimpleNamespace(max_len=max_len)
 
     def score(self, ids):
         out = np.zeros((ids.shape[0], self.n_items + 1))
@@ -41,8 +43,9 @@ class SuccessorOracle:
 
 
 class FixedScores:
-    def __init__(self, scores_fn):
+    def __init__(self, scores_fn, max_len=8):
         self.scores_fn = scores_fn
+        self.config = SimpleNamespace(max_len=max_len)
 
     def score(self, ids):
         return self.scores_fn(ids)
@@ -151,7 +154,7 @@ class TestEvaluate:
         ds, split = tiny_data()
         oracle = SuccessorOracle(ds.item_count)
         for phase in ("valid", "test"):
-            rep = evaluate(oracle, split, phase, k=10, max_len=8)
+            rep = evaluate(oracle, split, phase, k=10)
             assert rep.hr_at_k == rep.ndcg_at_k == rep.mrr_at_k == 1.0
             assert rep.population == ds.user_count
 
@@ -159,7 +162,7 @@ class TestEvaluate:
         ds, split = tiny_data(n_items=100, n_users=2000, seq_len=5, seed=1)
         rng = np.random.default_rng(2)
         model = FixedScores(lambda ids: rng.standard_normal((len(ids), 101)))
-        rep = evaluate(model, split, "valid", k=10, max_len=8)
+        rep = evaluate(model, split, "valid", k=10)
         assert rep.hr_at_k == pytest.approx(10 / 100, abs=0.03)
 
     def test_monotone_transform_invariance(self):
@@ -171,10 +174,10 @@ class TestEvaluate:
             phases = ids.sum(axis=1, keepdims=True) + np.arange(len(ids))[:, None]
             return np.sin(phases * np.arange(1, ds.vocab_size + 1))
 
-        rep0 = evaluate(FixedScores(base_fn), split, "valid", k=10, max_len=8)
+        rep0 = evaluate(FixedScores(base_fn), split, "valid", k=10)
         for transform in (lambda s: 2.0 * s + 5.0, np.exp):
             rep = evaluate(FixedScores(lambda ids: transform(base_fn(ids))),
-                           split, "valid", k=10, max_len=8)
+                           split, "valid", k=10)
             assert rep.hr_at_k == rep0.hr_at_k
             assert rep.ndcg_at_k == rep0.ndcg_at_k
             assert rep.mrr_at_k == rep0.mrr_at_k
@@ -183,7 +186,7 @@ class TestEvaluate:
         # every real item ties with the target, so it ranks last of 30
         ds, split = tiny_data()
         model = FixedScores(lambda ids: np.zeros((len(ids), ds.vocab_size)))
-        rep = evaluate(model, split, "valid", k=10, max_len=8)
+        rep = evaluate(model, split, "valid", k=10)
         assert ds.item_count > 10
         assert (rep.hr_at_k, rep.ndcg_at_k, rep.mrr_at_k) == (0.0, 0.0, 0.0)
 
@@ -192,7 +195,7 @@ class TestEvaluate:
         seen = []
         model = FixedScores(lambda ids: (seen.append(ids.copy()),
                                          np.zeros((len(ids), ds.vocab_size)))[1])
-        evaluate(model, split, "test", k=10, max_len=8)
+        evaluate(model, split, "test", k=10)
         last_cols = seen[0][:, -1].tolist()
         assert last_cols == split.valid
 
@@ -209,10 +212,9 @@ class TestEvaluate:
                 out[row, seq[-1] % ds.item_count + 1] = 5.0
             return out
 
-        model = FixedScores(score_history_high)
-        masked = evaluate(model, split, "valid", k=10, max_len=20,
-                          mask_history=True)
-        plain = evaluate(model, split, "valid", k=10, max_len=20)
+        model = FixedScores(score_history_high, max_len=20)
+        masked = evaluate(model, split, "valid", k=10, mask_history=True)
+        plain = evaluate(model, split, "valid", k=10)
         assert masked.hr_at_k == 1.0
         assert plain.hr_at_k == 0.0
 
@@ -373,8 +375,8 @@ class TestGridSearch:
                 for s in (5, 6)]
         ndcg = [r.best_valid.ndcg_at_k for r in runs]
         assert ndcg[0] != ndcg[1]       # so one seed alone cannot pass
-        assert rows[0]["ndcg"] == float(np.mean(ndcg))
-        assert rows[0]["hr"] == float(np.mean([r.best_valid.hr_at_k for r in runs]))
+        assert rows[0]["ndcg@10"] == float(np.mean(ndcg))
+        assert rows[0]["hr@10"] == float(np.mean([r.best_valid.hr_at_k for r in runs]))
         assert rows[0]["epoch"] == runs[0].best_epoch
 
     def test_singleton_grid_returns_cell(self):
@@ -407,14 +409,3 @@ class TestModelGradCheck:
         targets = rng.integers(1, 20, size=2)
         err = model_grad_check(cfg, ids, targets, seed=0, n_samples=60)
         assert err < 1e-3
-
-
-class TestMetricsCsv:
-    def test_layout(self, tmp_path):
-        rows = [{"phase": "valid", "epoch": 0, "hr": 0.5, "ndcg": 0.4,
-                 "mrr": 0.3, "loss": 2.5, "seed": 1}]
-        path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(path, rows, k=10)
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "phase,epoch,hr@10,ndcg@10,mrr@10,loss,seed"
-        assert lines[1].startswith("valid,0,0.5,0.4,0.3,2.5,1")
