@@ -2,13 +2,12 @@
 
 Times component forward passes across sequence lengths and fits a
 log-log slope: linear-time components should stay near 1, quadratic
-attention near 2.  Also measures peak forward memory.
+attention near 2.
 """
 
 from __future__ import annotations
 
 import time
-import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,17 +123,6 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
             if log:
                 log(f"{component} slope: {slopes[component]:.3f}")
     return BenchResult(rows, slopes)
-
-
-def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
-    """Peak bytes allocated during one gradient-enabled forward pass."""
-    tracemalloc.start()
-    try:
-        model.forward(ids, training=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

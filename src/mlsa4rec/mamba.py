@@ -67,47 +67,44 @@ def init_mamba(store: ParameterStore, prefix: str, d_model: int, d_state: int,
     return MambaParams(in_proj, conv_w, conv_b, ssm, out_proj, e_inner)
 
 
-def discretize_zoh(a, b, delta):
-    """Map continuous diagonal dynamics (a, b) and step delta to discrete
-    (a_bar, b_bar): a_bar = exp(delta*a), b_bar = ((exp(delta*a)-1)/a)*b,
-    with the limit b_bar = delta*b as a -> 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if np.any(delta <= 0):
-        raise ValueError("discretize_zoh: delta must be positive")
-    a_bar = np.exp(delta * a)
-    small = np.abs(a) < 1e-8
-    b_bar = np.where(small, delta * b, (a_bar - 1.0) / np.where(small, 1.0, a) * b)
-    if a_bar.ndim == 0:
-        return float(a_bar), float(b_bar)
-    return a_bar, b_bar
+def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
+             cm: Tensor, skip_d: Tensor, keep: np.ndarray | None = None
+             ) -> Tensor:
+    """y = scan(u, delta, a, bm, cm) + u * skip_d as one autodiff op, with
+    delta = softplus(pre + bias), zeroed where keep is false (the mask is
+    applied after the softplus).
 
-
-def _scan_op(u: Tensor, delta: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
-    """Autodiff wrapper around the scan kernels."""
-    ud = np.ascontiguousarray(u.data)
-    dd = np.ascontiguousarray(delta.data)
+    The op keeps delta, the scan checkpoints and its output; u, bm and cm
+    are other nodes' data.  The backward reads softplus'(x) = sigmoid(x)
+    = 1 - exp(-delta) off delta, which is zero at the masked steps, as
+    their gradient must be.
+    """
+    delta = T.softplus_(pre.data + bias.data)
+    if keep is not None:
+        np.multiply(delta, keep, out=delta)
+    squeeze = delta.ndim == 2
+    ud, dd, bd, cd = (np.ascontiguousarray(v[None] if squeeze else v)
+                      for v in (u.data, delta, bm.data, cm.data))
     ad = np.ascontiguousarray(a.data)
-    bd = np.ascontiguousarray(bm.data)
-    cd = np.ascontiguousarray(cm.data)
-    squeeze = ud.ndim == 2
-    if squeeze:
-        ud, dd, bd, cd = ud[None], dd[None], bd[None], cd[None]
-    need_grad = T.grad_enabled() and any(
-        t.requires_grad for t in (u, delta, a, bm, cm))
+    dsk = skip_d.data
+    parents = (u, pre, bias, a, bm, cm, skip_d)
+    need_grad = T.grad_enabled() and any(t.requires_grad for t in parents)
     y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, need_grad)
-    out = y[0] if squeeze else y
+    y += ud * dsk
 
     def bwd(g):
         gy = np.ascontiguousarray(g[None] if squeeze else g)
-        du, ddt, da, dbm, dcm = kernels.scan_backward(
+        du, ddelta, da, dbm, dcm = kernels.scan_backward(
             ud, dd, ad, bd, cd, checkpoints, gy)
+        du += gy * dsk
+        dskip = (gy * ud).sum(axis=(0, 1))
+        ddelta *= -np.expm1(-dd)
+        dbias = ddelta.sum(axis=(0, 1))
         if squeeze:
-            du, ddt, dbm, dcm = du[0], ddt[0], dbm[0], dcm[0]
-        return du, ddt, da, dbm, dcm
+            du, ddelta, dbm, dcm = du[0], ddelta[0], dbm[0], dcm[0]
+        return du, ddelta, dbias, da, dbm, dcm, dskip
 
-    return T.make_op(out, (u, delta, a, bm, cm), bwd, "selective_scan")
+    return T.make_op(y[0] if squeeze else y, parents, bwd, "selective_scan")
 
 
 def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
@@ -116,23 +113,23 @@ def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
 
     Per position: state maps come from linear projections of x, the
     timescale from a softplus-rectified projection; dynamics are
-    discretized by zero-order hold and the state advanced causally.
-    Where keep ([.., L, 1], boolean) is false the timescale is zero, so
-    the step leaves the state exactly as it was (a_bar = 1, no input).
+    discretized by zero-order hold and the state advanced causally, and
+    the skip term x * D is added to the output.  The projections are tape
+    ops; bias, softplus, mask, scan and skip run in one op, _scan_op.
+    Where keep ([.., L, 1], boolean) is false the timescale is zeroed
+    after the softplus, so the step leaves the state exactly as it was
+    (a_bar = 1, no input).
     """
-    bm = T.matmul(x, ssm.proj_b)
-    cm = T.matmul(x, ssm.proj_c)
-    delta = T.softplus(T.add(T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b))
-    if keep is not None:
-        delta = T.masked_fill(delta, keep)
     a = T.neg(T.exp(ssm.a_log))
-    y = _scan_op(x, delta, a, bm, cm)
-    return T.add(y, T.mul(x, ssm.skip_d))
+    return _scan_op(x, T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b, a,
+                    T.matmul(x, ssm.proj_b), T.matmul(x, ssm.proj_c),
+                    ssm.skip_d, keep)
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Depthwise convolution over time with left zero-padding, so position
-    t depends only on positions <= t."""
+    t depends only on positions <= t.  Tap j reads lag k - 1 - j; the
+    padding is never built, each lag is a shifted slice of x."""
     xd = x.data
     kd, bd = kernel.data, bias.data
     e, k = kd.shape
@@ -141,23 +138,20 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     squeeze = xd.ndim == 2
     x3 = xd[None] if squeeze else xd
     L = x3.shape[1]
-    pad = np.zeros((x3.shape[0], k - 1, e), dtype=x3.dtype)
-    xp = np.concatenate([pad, x3], axis=1)
+    lags = [(j, k - 1 - j) for j in range(k) if k - 1 - j < L]
     out = np.zeros_like(x3)
-    for j in range(k):
-        out += kd[:, j] * xp[:, j:j + L, :]
+    for j, lag in lags:
+        out[:, lag:] += kd[:, j] * x3[:, :L - lag]
     out += bd
 
     def bwd(g):
         g3 = g[None] if squeeze else g
-        dk = np.empty_like(kd)
-        for j in range(k):
-            dk[:, j] = np.einsum("ble,ble->e", xp[:, j:j + L, :], g3)
+        dk = np.zeros_like(kd)
+        dx = np.zeros_like(x3)
+        for j, lag in lags:
+            dk[:, j] = np.einsum("ble,ble->e", x3[:, :L - lag], g3[:, lag:])
+            dx[:, :L - lag] += kd[:, j] * g3[:, lag:]
         db = g3.sum(axis=(0, 1))
-        dxp = np.zeros_like(xp)
-        for j in range(k):
-            dxp[:, j:j + L, :] += kd[:, j] * g3
-        dx = dxp[:, k - 1:, :]
         return (dx[0] if squeeze else dx), dk, db
 
     return T.make_op(out[0] if squeeze else out, (x, kernel, bias), bwd, "causal_conv")

@@ -244,12 +244,6 @@ class MlsaModel:
         inter["logits"] = logits
         return logits, inter
 
-    def predict(self, ids: np.ndarray) -> np.ndarray:
-        """Distribution over all items for the next interaction."""
-        with T.no_grad():
-            logits, _ = self.forward(ids, training=False)
-            return T.softmax(logits).data
-
     def cast_float64(self) -> None:
         """Cast every parameter to float64 in place (gradient checking).
 
@@ -263,7 +257,8 @@ class MlsaModel:
             t.grad = np.zeros_like(t.data)
 
     def score(self, ids: np.ndarray) -> np.ndarray:
-        """Raw item scores (logits); ranking-equivalent to predict()."""
+        """Raw item scores (logits) for the next interaction; their softmax
+        is the distribution over items."""
         with T.no_grad():
             logits, _ = self.forward(ids, training=False)
             return logits.data

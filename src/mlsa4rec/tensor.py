@@ -274,13 +274,14 @@ def concat_last(tensors: list[Tensor]) -> Tensor:
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    out = np.ascontiguousarray(a.data[..., start:stop])
+    """Columns start:stop of the last axis, as a view of a's data."""
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype=dtype)
         full[..., start:stop] = g
         return (full,)
-    return make_op(out, (a,), bwd, "slice")
+    return make_op(a.data[..., start:stop], (a,), bwd, "slice")
 
 
 def take_row(a: Tensor, idx: int) -> Tensor:
@@ -377,12 +378,22 @@ def gelu(x: Tensor) -> Tensor:
     return make_op(out.astype(x.data.dtype, copy=False), (x,), bwd, "gelu")
 
 
-def softplus(x: Tensor) -> Tensor:
-    out = np.where(x.data > 30.0, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
+def softplus_(x: np.ndarray) -> np.ndarray:
+    """x <- log(1 + exp(x)) in place; x itself above 30, where the exp
+    would lose it."""
+    big = x > 30.0
+    kept = x[big]
+    np.minimum(x, 30.0, out=x)
+    np.exp(x, out=x)
+    np.log1p(x, out=x)
+    x[big] = kept
+    return x
 
+
+def softplus(x: Tensor) -> Tensor:
     def bwd(g):
         return (g * expit(x.data),)
-    return make_op(out.astype(x.data.dtype, copy=False), (x,), bwd, "softplus")
+    return make_op(softplus_(x.data.copy()), (x,), bwd, "softplus")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -485,9 +496,6 @@ class ParameterStore:
     def zero_grads(self) -> None:
         for t in self.entries.values():
             t.grad[...] = 0.0
-
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.entries.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.entries.items()}

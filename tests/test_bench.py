@@ -8,13 +8,24 @@ import numpy as np
 import pytest
 
 from mlsa4rec import kernels
-from mlsa4rec.bench import (bench_scaling, fit_slope, peak_forward_memory,
-                            write_scaling_svg, _median_of_means)
+from mlsa4rec.bench import (bench_scaling, fit_slope, write_scaling_svg,
+                            _median_of_means)
 from mlsa4rec.cli import write_csv
 from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.train_eval import Adam, train_step
 
 TINY_LENGTHS = [8, 16, 32, 64]
+
+
+def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
+    """Peak bytes allocated during one gradient-enabled forward pass."""
+    tracemalloc.start()
+    try:
+        model.forward(ids, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestSlopeFit:

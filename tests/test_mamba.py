@@ -5,9 +5,26 @@ import pytest
 
 from mlsa4rec import kernels
 from mlsa4rec import tensor as T
-from mlsa4rec.mamba import (causal_conv1d, discretize_zoh, init_mamba,
-                            init_ssm, mamba_block, selective_scan)
+from mlsa4rec.mamba import (_scan_op, causal_conv1d, init_mamba, init_ssm,
+                            mamba_block, selective_scan)
 from mlsa4rec.tensor import ParameterStore, Tensor
+
+
+def discretize_zoh(a, b, delta):
+    """Map continuous diagonal dynamics (a, b) and step delta to discrete
+    (a_bar, b_bar): a_bar = exp(delta*a), b_bar = ((exp(delta*a)-1)/a)*b,
+    with the limit b_bar = delta*b as a -> 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    if np.any(delta <= 0):
+        raise ValueError("discretize_zoh: delta must be positive")
+    a_bar = np.exp(delta * a)
+    small = np.abs(a) < 1e-8
+    b_bar = np.where(small, delta * b, (a_bar - 1.0) / np.where(small, 1.0, a) * b)
+    if a_bar.ndim == 0:
+        return float(a_bar), float(b_bar)
+    return a_bar, b_bar
 
 
 def naive_scan(u, delta, a, bm, cm):
@@ -40,6 +57,52 @@ def naive_selective_scan(x, ssm):
     a = -np.exp(ssm.a_log.data.astype(np.float64))
     y = naive_scan(xd, delta, a, bm, cm)
     return y + ssm.skip_d.data * xd
+
+
+def plain_scan_op(u, delta, a, bm, cm):
+    """The scan alone as a tape op, taking delta as a tensor."""
+    squeeze = u.data.ndim == 2
+    ud, dd, bd, cd = (np.ascontiguousarray(t.data[None] if squeeze else t.data)
+                      for t in (u, delta, bm, cm))
+    y, states = kernels.scan_forward(ud, dd, a.data, bd, cd, True)
+
+    def bwd(g):
+        grads = kernels.scan_backward(ud, dd, a.data, bd, cd, states,
+                                      np.ascontiguousarray(g[None] if squeeze else g))
+        return tuple(d[0] if squeeze and d.ndim == 3 else d for d in grads)
+    return T.make_op(y[0] if squeeze else y, (u, delta, a, bm, cm), bwd, "scan")
+
+
+def composed_selective_scan(x, ssm, keep):
+    """selective_scan spelled with separate bias, softplus, mask and skip ops."""
+    delta = T.softplus(T.add(T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b))
+    if keep is not None:
+        delta = T.masked_fill(delta, keep)
+    y = plain_scan_op(x, delta, T.neg(T.exp(ssm.a_log)),
+                      T.matmul(x, ssm.proj_b), T.matmul(x, ssm.proj_c))
+    return T.add(y, T.mul(x, ssm.skip_d))
+
+
+def explicit_conv(x, k, b):
+    """Per-element loop of the causal depthwise convolution, x [B, L, E]."""
+    n_batch, seq, e_inner = x.shape
+    width = k.shape[1]
+    out = np.zeros_like(x)
+    for bi in range(n_batch):
+        for t in range(seq):
+            for e in range(e_inner):
+                acc = b[e]
+                for j in range(width):
+                    src = t - (width - 1 - j)
+                    if src >= 0:
+                        acc += k[e, j] * x[bi, src, e]
+                out[bi, t, e] = acc
+    return out
+
+
+def padded_keep(lengths, seq):
+    """[B, L, 1] mask of left-padded rows holding lengths[b] real steps."""
+    return (np.arange(seq)[None, :] >= seq - np.asarray(lengths)[:, None])[:, :, None]
 
 
 class TestDiscretizeZoh:
@@ -154,6 +217,60 @@ class TestScanRecurrence:
         assert err < 1e-6
 
 
+class TestFusedScanOp:
+    """selective_scan's one op against the separate ops it replaces."""
+
+    def _case(self, shape, keep):
+        store = ParameterStore(rng_seed=51, dtype=np.float64)
+        ssm = init_ssm(store, "ssm", e_inner=shape[-1], d_state=3)
+        x = Tensor(np.random.default_rng(52).standard_normal(shape),
+                   requires_grad=True)
+        gy = np.random.default_rng(53).standard_normal(shape)
+        outs, grads = [], []
+        for fn in (selective_scan, composed_selective_scan):
+            store.zero_grads()
+            x.grad = None
+            y = fn(x, ssm, keep)
+            T.tsum(T.mul(y, Tensor(gy))).backward()
+            outs.append(y.data)
+            grads.append([x.grad] + [t.grad.copy() for t in store.entries.values()])
+        return outs, grads, store.names()
+
+    @pytest.mark.parametrize("shape, keep", [
+        ((6, 4), np.arange(6)[:, None] >= 2),
+        ((3, 6, 4), padded_keep([6, 2, 4], 6)),
+    ])
+    def test_output_and_gradients_match_separate_ops(self, shape, keep):
+        (fused, plain), (g_fused, g_plain), names = self._case(shape, keep)
+        np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=0)
+        for name, a, b in zip(["x"] + names, g_fused, g_plain):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_returns_a_gradient_for_every_parent(self):
+        rng = np.random.default_rng(54)
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in ((2, 5, 3), (2, 5, 3), (3,), (3, 2), (2, 5, 2),
+                            (2, 5, 2), (3,))]
+        y = _scan_op(*leaves, keep=padded_keep([5, 3], 5))
+        assert y._op == "selective_scan"
+        grads = y._backward(np.ones_like(y.data))
+        assert [g.shape for g in grads] == [t.shape for t in leaves]
+
+    def test_gradients_with_padding_against_finite_differences(self):
+        store = ParameterStore(rng_seed=55, dtype=np.float64)
+        ssm = init_ssm(store, "ssm", e_inner=3, d_state=2)
+        xd = np.random.default_rng(56).standard_normal((2, 5, 3))
+        keep = padded_keep([5, 3], 5)
+
+        def loss_fn(_store):
+            y = selective_scan(Tensor(xd), ssm, keep)
+            return T.tsum(T.mul(y, y))
+
+        # the separate ops give the same 7.5e-6 here: it is the truncation
+        # error of central differences at grad_check's step
+        assert T.grad_check(loss_fn, store) < 1e-5
+
+
 class TestCausalConv:
     def test_identity_kernel(self):
         # Kernel that only reads the current position reproduces the input.
@@ -179,17 +296,16 @@ class TestCausalConv:
         k = rng.standard_normal((3, 4))
         b = rng.standard_normal(3)
         out = causal_conv1d(Tensor(x), Tensor(k), Tensor(b)).data
-        expect = np.zeros_like(x)
-        for bi in range(2):
-            for t in range(7):
-                for e in range(3):
-                    acc = b[e]
-                    for j in range(4):
-                        src = t - (4 - 1 - j)
-                        if src >= 0:
-                            acc += k[e, j] * x[bi, src, e]
-                    expect[bi, t, e] = acc
-        np.testing.assert_allclose(out, expect, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(out, explicit_conv(x, k, b), rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("seq", [1, 2])
+    def test_shorter_than_kernel(self, seq):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, seq, 3))
+        k = rng.standard_normal((3, 4))
+        b = rng.standard_normal(3)
+        out = causal_conv1d(Tensor(x), Tensor(k), Tensor(b)).data
+        np.testing.assert_allclose(out, explicit_conv(x, k, b), rtol=1e-12)
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(T.ShapeError):
@@ -255,3 +371,26 @@ class TestMambaBlock:
                                 mamba_block(Tensor(xd), p)))
 
         assert T.grad_check(loss_fn, store) < 1e-6
+
+    def test_tape_keeps_no_copies(self):
+        # Sum the distinct buffers of the op results a block's tape holds,
+        # a view counted once through its base, in units of one
+        # [B, L, E_inner] array.  Separate slice copies, softplus, mask or
+        # skip nodes would add a unit each (the block held 17.1 with them).
+        B, L, D = 8, 20, 16
+        store = ParameterStore(rng_seed=45, dtype=np.float32)
+        p = init_mamba(store, "m", D, 8, d_conv=4, expand=2)
+        x = Tensor(np.random.default_rng(46).standard_normal((B, L, D), dtype=np.float32))
+        out = mamba_block(x, p, padded_keep([20, 15, 10, 5, 20, 1, 12, 7], L))
+        buffers, seen, stack = {}, set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._op != "leaf":
+                base = node.data if node.data.base is None else node.data.base
+                buffers[id(base)] = base.nbytes
+            stack.extend(node._parents)
+        unit = B * L * p.e_inner * 4
+        assert sum(buffers.values()) <= 10.5 * unit
