@@ -65,7 +65,8 @@ def grad_enabled() -> bool:
 class Tensor:
     """A graph node over float32 or float64 data; other dtypes become float32."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -118,24 +119,37 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
+        # Each op node is released once its closure has run: its saved
+        # arrays, and the parents only it still holds, are freed as the
+        # backward proceeds instead of when it returns.
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None:
+            if node._backward is None:
+                if g is not None:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
                 continue
-            if node._backward is not None:
-                parent_grads = node._backward(g)
-                for p, pg in zip(node._parents, parent_grads):
+            backward, parents = node._backward, node._parents
+            node._backward, node._parents = _released, ()
+            if g is not None:
+                for p, pg in zip(parents, backward(g)):
                     if pg is None or not p.requires_grad:
                         continue
                     prev = grads.get(id(p))
                     # a closure may hand the same buffer to several
                     # parents, so accumulate without in-place writes
                     grads[id(p)] = pg if prev is None else prev + pg
-            else:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            del backward, parents
+
+
+def _released(g):
+    """Backward of an op node whose graph a backward() has already run."""
+    raise RuntimeError("backward() through a graph that was already freed: "
+                       "each op node is released once its gradient has "
+                       "been propagated; rebuild the graph to run it again")
 
 
 def make_op(data: np.ndarray, parents: Iterable[Tensor],

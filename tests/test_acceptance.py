@@ -293,8 +293,8 @@ def test_criterion_07_runtime_scaling():
     s = res.slopes
     ok = s["full_model"] <= 1.3 and s["lsa"] <= 1.3 \
         and s["vanilla_attention"] >= 1.6 and elapsed < 300.0
-    # timings move with BLAS threads and machine load; record both so a
-    # slope near its gate can be read
+    # timings move with BLAS threads, the scan's worker threads and machine
+    # load; record them so a slope near its gate can be read
     threads = ", ".join(f"{var} {os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     load = " ".join(f"{x:.2f}" for x in os.getloadavg())
@@ -302,7 +302,8 @@ def test_criterion_07_runtime_scaling():
              f"log-log slopes: full_model {s['full_model']:.3f} (<=1.3), "
              f"lsa {s['lsa']:.3f} (<=1.3), vanilla "
              f"{s['vanilla_attention']:.3f} (>=1.6) in {elapsed:.0f}s; "
-             f"{threads}, {os.cpu_count()} cpus, load {load}")
+             f"{threads}, scan workers {kernels._WORKERS}, "
+             f"{os.cpu_count()} cpus, load {load}")
 
 
 # --------------------------------------------------------------------------

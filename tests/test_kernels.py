@@ -1,8 +1,12 @@
 """Scan kernels against a float64 per-step loop and central differences."""
 
 import numpy as np
+import pytest
 
 from mlsa4rec import kernels
+from mlsa4rec.data import synthetic_successor_dataset
+from mlsa4rec.model import MlsaModel, ModelConfig
+from mlsa4rec.train_eval import Adam, build_training_examples, train_step
 
 
 def random_instance(rng, batch=2, seq=9, e_inner=4, d_state=3, dtype=np.float64):
@@ -163,3 +167,63 @@ class TestScan:
                 for name, x1, x2 in zip(("y", "u", "delta", "a", "bm", "cm"),
                                         runs[0], run):
                     np.testing.assert_array_equal(x2, x1, err_msg=name)
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """kernels._pool starts unset, and a pool the test creates is shut down."""
+    monkeypatch.setattr(kernels, "_pool", None)
+    yield
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
+
+
+class TestParallelBlocks:
+    def test_workers_leave_results_bitwise_unchanged(self, monkeypatch, own_pool):
+        rng = np.random.default_rng(7)
+        B, L, E, N = 7, 2 * kernels._CHUNK_STEPS + 3, 4, 3
+        for dtype in (np.float32, np.float64):
+            args = random_instance(rng, B, L, E, N, dtype=dtype)
+            args[2][0, 0] = -1e-9
+            args[2][1, 2] = 1e-10
+            gy = rng.standard_normal(args[0].shape).astype(dtype)
+            monkeypatch.setattr(kernels, "_BLOCK_BYTES",
+                                2 * N * E * np.dtype(dtype).itemsize)
+            assert len(kernels._row_blocks(B, N, E, dtype)) == 4  # 2, 2, 2, 1
+            runs = []
+            for workers in (1, 2):
+                monkeypatch.setattr(kernels, "_WORKERS", workers)
+                y, h = kernels.scan_forward(*args, True)
+                runs.append((y, h) + kernels.scan_backward(*args, h, gy))
+            for name, x1, x2 in zip(("y", "states", "u", "delta", "a", "bm",
+                                     "cm"), *runs):
+                assert x2.dtype == dtype
+                np.testing.assert_array_equal(x2, x1, err_msg=name)
+        assert kernels._pool is not None      # two workers ran on the pool
+
+    def test_one_block_runs_inline(self, monkeypatch, own_pool):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        rng = np.random.default_rng(8)
+        args = random_instance(rng)
+        assert len(kernels._row_blocks(2, 3, 4, np.float64)) == 1
+        _, h = kernels.scan_forward(*args, True)
+        kernels.scan_backward(*args, h, rng.standard_normal(args[0].shape))
+        assert kernels._pool is None
+
+    def test_desk_training_steps_agree_across_workers(self, monkeypatch,
+                                                      own_pool):
+        # B 128, N 32, E 128 in float32: eight row blocks per scan call
+        batch = 128
+        _, split = synthetic_successor_dataset(n_items=500, n_users=3 * batch,
+                                               seq_len=20, seed=0)
+        xs, ys = build_training_examples(split, 50)
+        losses = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            model = MlsaModel(ModelConfig(vocab_size=501), seed=3)
+            opt = Adam(model.params, lr=1e-3)
+            losses[workers] = [
+                train_step(model, opt, xs[i:i + batch], ys[i:i + batch])[0]
+                for i in range(0, 3 * batch, batch)]
+        assert len(kernels._row_blocks(batch, 32, 128, np.float32)) == 8
+        assert losses[2] == losses[1]

@@ -1,6 +1,8 @@
 """Tensor core: op semantics against independent oracles, autodiff
 against finite differences, serialization round-trips."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,32 @@ class TestGraphMechanics:
         z = T.tsum(T.add(y, y))         # 2 x^2; dz/dx = 4x = 8
         z.backward()
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_backward_frees_the_tape(self):
+        x = tensor64([[1.0, 2.0], [3.0, -1.0]])
+        w = tensor64([[0.5, -2.0], [1.5, 4.0]])
+        v = tensor64([[2.0], [-3.0]])
+
+        def build():
+            prod = T.mul(x, w)                  # held only by the tape
+            return T.tsum(T.matmul(prod, v)), weakref.ref(prod)
+
+        loss, prod = build()
+        assert prod() is not None
+        loss.backward()
+        assert prod() is None
+        # loss = sum_ij x_ij * w_ij * v_j
+        np.testing.assert_array_equal(x.grad, [[1.0, 6.0], [3.0, -12.0]])
+        np.testing.assert_array_equal(w.grad, [[2.0, -6.0], [6.0, 3.0]])
+        np.testing.assert_array_equal(v.grad, [[5.0], [-8.0]])
+
+    def test_second_backward_raises(self):
+        x = tensor64([2.0])
+        z = T.tsum(T.mul(x, x))
+        z.backward()
+        with pytest.raises(RuntimeError, match="graph that was already freed"):
+            z.backward()
+        np.testing.assert_array_equal(x.grad, [4.0])  # the first pass only
 
     def test_nan_raises_numerics_error(self):
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
