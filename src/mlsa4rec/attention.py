@@ -28,7 +28,6 @@ class LsaParams:
     w_k: Tensor                # [D, D]
     w_v: Tensor                # [D, D]
     n_heads: int
-    n_interests: int
 
 
 def init_lsa(store: ParameterStore, prefix: str, d_model: int, n_interests: int,
@@ -41,7 +40,7 @@ def init_lsa(store: ParameterStore, prefix: str, d_model: int, n_interests: int,
     w_q = store.uniform(f"{prefix}.w_q", (d_model, d_model), d_model)
     w_k = store.uniform(f"{prefix}.w_k", (d_model, d_model), d_model)
     w_v = store.uniform(f"{prefix}.w_v", (d_model, d_model), d_model)
-    return LsaParams(theta, w_q, w_k, w_v, n_heads, n_interests)
+    return LsaParams(theta, w_q, w_k, w_v, n_heads)
 
 
 def interest_aggregate(hmat: Tensor, theta: Tensor, keep: np.ndarray | None = None
@@ -65,6 +64,24 @@ def _split_heads(x: Tensor, n_heads: int) -> list[Tensor]:
     return [T.slice_last(x, i * d_head, (i + 1) * d_head) for i in range(n_heads)]
 
 
+def _multi_head(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                keep_keys: np.ndarray | None = None) -> Tensor:
+    """Each head's slice of q attends over the rows of its slices of k and
+    v; the heads' outputs are concatenated.  Keys where keep_keys
+    ([.., 1, rows of k], boolean) is false get a score of MASKED_SCORE,
+    so their weight underflows to exactly zero whenever a real key is
+    present."""
+    inv_scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    outs = []
+    for qi, ki, vi in zip(_split_heads(q, n_heads), _split_heads(k, n_heads),
+                          _split_heads(v, n_heads)):
+        scores = T.scale(T.matmul(qi, T.transpose_last(ki)), inv_scale)
+        if keep_keys is not None:
+            scores = T.masked_fill(scores, keep_keys, MASKED_SCORE)
+        outs.append(T.matmul(T.softmax(scores), vi))
+    return T.concat_last(outs)
+
+
 def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
                   ) -> Tensor:
     """Attention through the interest bottleneck; [.., L, D] -> same shape.
@@ -76,48 +93,24 @@ def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
     """
     if p.theta is None:
         raise ValueError("lsa_attention requires interest prototypes")
-    d_model = x.shape[-1]
-    d_head = d_model // p.n_heads
-    seq_len = x.shape[-2]
-    if p.n_interests >= seq_len:
+    n_interests, seq_len = p.theta.shape[0], x.shape[-2]
+    if n_interests >= seq_len:
         log.info("interest count %d >= sequence length %d; no rank reduction",
-                 p.n_interests, seq_len)
+                 n_interests, seq_len)
     q = T.matmul(x, p.w_q)
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
-    inv_scale = 1.0 / np.sqrt(d_head)
     z, k_pool = interest_aggregate(k, p.theta, keep)
     v_pool = T.matmul(T.transpose_last(z), v)
-    outs = []
-    for qi, kpi, vpi in zip(_split_heads(q, p.n_heads),
-                            _split_heads(k_pool, p.n_heads),
-                            _split_heads(v_pool, p.n_heads)):
-        attn = T.softmax(T.scale(T.matmul(qi, T.transpose_last(kpi)), inv_scale))
-        outs.append(T.matmul(attn, vpi))
-    return T.concat_last(outs)
+    return _multi_head(q, k_pool, v_pool, p.n_heads)
 
 
 def vanilla_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
                       ) -> Tensor:
-    """Standard multi-head attention over all positions.
-
-    Keys where keep ([.., L, 1], boolean) is false get a score of
-    MASKED_SCORE, so their weight underflows to exactly zero whenever a
-    real key is present.
-    """
-    d_head = x.shape[-1] // p.n_heads
+    """Standard multi-head attention over all positions; positions where
+    keep ([.., L, 1], boolean) is false are masked as keys."""
     q = T.matmul(x, p.w_q)
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
-    inv_scale = 1.0 / np.sqrt(d_head)
     keep_keys = None if keep is None else np.swapaxes(keep, -1, -2)
-    outs = []
-    for qi, ki, vi in zip(_split_heads(q, p.n_heads),
-                          _split_heads(k, p.n_heads),
-                          _split_heads(v, p.n_heads)):
-        scores = T.scale(T.matmul(qi, T.transpose_last(ki)), inv_scale)
-        if keep_keys is not None:
-            scores = T.masked_fill(scores, keep_keys, MASKED_SCORE)
-        attn = T.softmax(scores)
-        outs.append(T.matmul(attn, vi))
-    return T.concat_last(outs)
+    return _multi_head(q, k, v, p.n_heads, keep_keys)

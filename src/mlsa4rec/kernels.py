@@ -37,17 +37,17 @@ _row_blocks) and the blocks run on a pool of _WORKERS threads, one per
 CPU this process may use; numpy releases the GIL inside each ufunc.  The
 unit of work is a whole row block, never fewer rows or a share of the
 channels: at score-long's shape (B 4, L 2048, one block), splitting the
-channels over 2 threads took 473 ms against 206 ms inline.  A call with
-one block runs inline and never creates the pool.  Each block
-writes its own rows of every output; the one sum across rows, da, is
-formed per block and the blocks' parts are added in block order, so the
-results do not depend on the worker count or on scheduling.
+channels over 2 threads took 473 ms against 206 ms inline.  The pool's
+threads start at the first call with several blocks; a call with one
+block runs inline.  Each block writes its own rows of every output; the
+one sum across rows, da, is formed per block and the blocks' parts are
+added in block order, so the results do not depend on the worker count
+or on scheduling.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -61,8 +61,8 @@ _BLOCK_BYTES = 1 << 18
 _CHUNK_STEPS = 8
 # Threads that run row blocks: the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0))
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# Starts no thread until its first map.
+_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="mlsa4rec-scan")
 
 
 def get_backend() -> str:
@@ -103,14 +103,8 @@ def _row_blocks(B, N, E, dtype):
 def _map_blocks(fn, blocks):
     """[fn(r) for r in blocks], run on the pool when there are several
     blocks and more than one worker; results come back in block order."""
-    global _pool
     if len(blocks) == 1 or _WORKERS == 1:
         return [fn(r) for r in blocks]
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(max_workers=_WORKERS,
-                                           thread_name_prefix="mlsa4rec-scan")
     return list(_pool.map(fn, blocks))
 
 

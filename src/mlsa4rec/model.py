@@ -84,9 +84,8 @@ def _first_real_column(ids: np.ndarray) -> int:
     return int(real.argmax()) if real.any() else ids.shape[1] - 1
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    y = T.matmul(x, w)
-    return T.add(y, b) if b is not None else y
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return T.add(T.matmul(x, w), b)
 
 
 class MlsaModel:

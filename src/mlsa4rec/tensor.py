@@ -201,16 +201,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; also accepts a rank-1 vector on the last axis."""
-    if a.shape == b.shape:
-        def bwd(g):
-            return g * b.data, g * a.data
-    elif b.data.ndim == 1 and a.shape[-1] == b.shape[0]:
-        def bwd(g):
-            axes = tuple(range(g.ndim - 1))
-            return g * b.data, (g * a.data).sum(axis=axes)
-    else:
+    """Elementwise product of two tensors of the same shape."""
+    if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+
+    def bwd(g):
+        return g * b.data, g * a.data
     return make_op(a.data * b.data, (a, b), bwd, "mul")
 
 
@@ -500,9 +496,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def names(self) -> list[str]:
         return list(self.entries)

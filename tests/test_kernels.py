@@ -1,5 +1,10 @@
 """Scan kernels against a float64 per-step loop and central differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,17 +174,36 @@ class TestScan:
                     np.testing.assert_array_equal(x2, x1, err_msg=name)
 
 
+class SpyPool:
+    """Stands in for kernels._pool: counts map calls and runs them inline."""
+
+    def __init__(self):
+        self.maps = 0
+
+    def map(self, fn, items):
+        self.maps += 1
+        return map(fn, items)
+
+
 @pytest.fixture
-def own_pool(monkeypatch):
-    """kernels._pool starts unset, and a pool the test creates is shut down."""
-    monkeypatch.setattr(kernels, "_pool", None)
-    yield
-    if kernels._pool is not None:
-        kernels._pool.shutdown()
+def spy_pool(monkeypatch):
+    spy = SpyPool()
+    monkeypatch.setattr(kernels, "_pool", spy)
+    return spy
 
 
 class TestParallelBlocks:
-    def test_workers_leave_results_bitwise_unchanged(self, monkeypatch, own_pool):
+    def test_import_starts_no_thread(self):
+        # the pool is built at import; its threads start at its first map
+        src = str(Path(kernels.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import threading, mlsa4rec.kernels; "
+             "print(threading.active_count())"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "1"
+
+    def test_workers_leave_results_bitwise_unchanged(self, monkeypatch, spy_pool):
         rng = np.random.default_rng(7)
         B, L, E, N = 7, 2 * kernels._CHUNK_STEPS + 3, 4, 3
         for dtype in (np.float32, np.float64):
@@ -190,28 +214,29 @@ class TestParallelBlocks:
             monkeypatch.setattr(kernels, "_BLOCK_BYTES",
                                 2 * N * E * np.dtype(dtype).itemsize)
             assert len(kernels._row_blocks(B, N, E, dtype)) == 4  # 2, 2, 2, 1
-            runs = []
+            runs, maps = [], []
             for workers in (1, 2):
                 monkeypatch.setattr(kernels, "_WORKERS", workers)
+                before = spy_pool.maps
                 y, h = kernels.scan_forward(*args, True)
                 runs.append((y, h) + kernels.scan_backward(*args, h, gy))
+                maps.append(spy_pool.maps - before)
+            assert maps == [0, 2]     # only two workers went through the pool
             for name, x1, x2 in zip(("y", "states", "u", "delta", "a", "bm",
                                      "cm"), *runs):
                 assert x2.dtype == dtype
                 np.testing.assert_array_equal(x2, x1, err_msg=name)
-        assert kernels._pool is not None      # two workers ran on the pool
 
-    def test_one_block_runs_inline(self, monkeypatch, own_pool):
+    def test_one_block_runs_inline(self, monkeypatch, spy_pool):
         monkeypatch.setattr(kernels, "_WORKERS", 2)
         rng = np.random.default_rng(8)
         args = random_instance(rng)
         assert len(kernels._row_blocks(2, 3, 4, np.float64)) == 1
         _, h = kernels.scan_forward(*args, True)
         kernels.scan_backward(*args, h, rng.standard_normal(args[0].shape))
-        assert kernels._pool is None
+        assert spy_pool.maps == 0
 
-    def test_desk_training_steps_agree_across_workers(self, monkeypatch,
-                                                      own_pool):
+    def test_desk_training_steps_agree_across_workers(self, monkeypatch):
         # B 128, N 32, E 128 in float32: eight row blocks per scan call
         batch = 128
         _, split = synthetic_successor_dataset(n_items=500, n_users=3 * batch,

@@ -80,7 +80,11 @@ def composed_selective_scan(x, ssm, keep):
         delta = T.masked_fill(delta, keep)
     y = plain_scan_op(x, delta, T.neg(T.exp(ssm.a_log)),
                       T.matmul(x, ssm.proj_b), T.matmul(x, ssm.proj_c))
-    return T.add(y, T.mul(x, ssm.skip_d))
+    xd, dsk = x.data, ssm.skip_d.data
+
+    def skip_bwd(g):
+        return g * dsk, (g * xd).sum(axis=tuple(range(g.ndim - 1)))
+    return T.add(y, T.make_op(xd * dsk, (x, ssm.skip_d), skip_bwd, "mul"))
 
 
 def explicit_conv(x, k, b):
