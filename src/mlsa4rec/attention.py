@@ -30,12 +30,14 @@ class LsaParams:
     n_heads: int
 
 
-def init_lsa(store: ParameterStore, prefix: str, d_model: int, n_interests: int,
-             n_heads: int, with_theta: bool = True) -> LsaParams:
+def init_lsa(store: ParameterStore, prefix: str, d_model: int,
+             n_interests: int | None, n_heads: int) -> LsaParams:
+    """Projections for d_model-wide attention; n_interests prototypes when
+    it is set, none (the vanilla attention's parameters) when it is None."""
     if d_model % n_heads:
         raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
     theta = None
-    if with_theta:
+    if n_interests is not None:
         theta = store.uniform(f"{prefix}.theta", (n_interests, d_model), d_model)
     w_q = store.uniform(f"{prefix}.w_q", (d_model, d_model), d_model)
     w_k = store.uniform(f"{prefix}.w_k", (d_model, d_model), d_model)

@@ -65,8 +65,7 @@ def _component_fn(component: str, cfg: ModelConfig, seed: int):
         params = init_lsa(store, "a", cfg.d_model, cfg.n_interests, cfg.n_heads)
         return lambda: lsa_attention(x, params)
     if component == "vanilla_attention":
-        params = init_lsa(store, "a", cfg.d_model, cfg.n_interests, cfg.n_heads,
-                          with_theta=False)
+        params = init_lsa(store, "a", cfg.d_model, None, cfg.n_heads)
         return lambda: vanilla_attention(x, params)
     raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
 

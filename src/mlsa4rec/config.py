@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, get_type_hints
 
+from .bench import COMPONENTS
 from .model import ModelConfig
 from .train_eval import GRID_KEYS, TrainConfig
 
@@ -79,7 +80,8 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
                       "comma-separated sequence lengths"),
     "bench_reps": (5, int, "timed repetitions per point (>= 5)"),
     "components": ("full_model,lsa,vanilla_attention", str,
-                   "comma-separated components to benchmark"),
+                   "comma-separated components to benchmark: "
+                   + "|".join(COMPONENTS)),
     # grid search (comma-separated candidate lists; empty = not searched)
     **{f"grid_{key}": ("", str, f"{_GRID_NOUNS[key]} to search")
        for key in GRID_KEYS},

@@ -110,10 +110,12 @@ class MlsaModel:
         if c.variant != "v2":
             self.il_mamba = init_mamba(store, "il.mamba", c.d_model, c.d_state,
                                        c.d_conv, c.expand)
-        self._add_ln("il.ln1")
+        self.lns["il.ln1"] = self._new_ln("il.ln1")
         if c.variant != "v1":
-            self.il_lsa = init_lsa(store, "il.lsa", c.d_model, c.n_interests,
-                                   c.n_heads, with_theta=(c.variant != "v3"))
+            # v3's attention is the vanilla one: no interest prototypes
+            self.il_lsa = init_lsa(store, "il.lsa", c.d_model,
+                                   None if c.variant == "v3" else c.n_interests,
+                                   c.n_heads)
             self.mlp1 = (store.uniform("il.mlp1.w", (c.d_model, c.d_model), c.d_model),
                          store.zeros("il.mlp1.b", (c.d_model,)))
             self.mlp2 = (store.uniform("il.mlp2.w", (2 * c.d_model, c.d_model),
@@ -122,7 +124,7 @@ class MlsaModel:
             self.mlp3 = (store.uniform("il.mlp3.w", (c.d_model, c.d_model), c.d_model),
                          store.zeros("il.mlp3.b", (c.d_model,)))
             for name in ("il.ln2", "il.ln3", "il.ln4"):
-                self._add_ln(name)
+                self.lns[name] = self._new_ln(name)
 
         self.stack: list[StackLayer] = []
         pffn_stack = c.variant in ("v2", "v4")
@@ -150,13 +152,6 @@ class MlsaModel:
         g = self.params.add(f"{name}.g", np.ones(self.config.d_model))
         b = self.params.zeros(f"{name}.b", (self.config.d_model,))
         return g, b
-
-    def _add_ln(self, name: str) -> None:
-        self.lns[name] = self._new_ln(name)
-
-    def _ln(self, name: str, x: Tensor) -> Tensor:
-        g, b = self.lns[name]
-        return T.layernorm(x, g, b)
 
     def reseed_dropout(self, seed: int) -> None:
         self._drop_rng = np.random.default_rng(seed ^ 0x5EED)
@@ -194,10 +189,10 @@ class MlsaModel:
         # the parts __init__ built pick the path: v2 has no fusion Mamba, v1 no
         # attention (its hidden state is the fused output), v3 no prototypes
         if self.il_mamba is None:
-            h = self._ln("il.ln1", e)
+            h = e
         else:
-            h = self._ln("il.ln1", T.add(mamba_block(e, self.il_mamba, keep), e))
-        h = self._drop(h, training)
+            h = T.add(mamba_block(e, self.il_mamba, keep), e)
+        h = self._drop(T.layernorm(h, *self.lns["il.ln1"]), training)
         inter["hidden"] = h
 
         if self.il_lsa is None:
@@ -207,19 +202,20 @@ class MlsaModel:
                 attn = vanilla_attention(h, self.il_lsa, keep)
             else:
                 attn = lsa_attention(h, self.il_lsa, keep)
-            h_attn = self._drop(self._ln("il.ln2", T.add(attn, h)), training)
-            inter["attn_hidden"] = h_attn
+            h_attn = self._drop(T.layernorm(T.add(attn, h), *self.lns["il.ln2"]),
+                                training)
 
             gate = T.gelu(_linear(h_attn, *self.mlp1))
             inter["gate"] = gate
             gated = T.mul(h, gate)
             inter["gated"] = gated
-            gated_norm = self._drop(self._ln("il.ln3", gated), training)
+            gated_norm = self._drop(T.layernorm(gated, *self.lns["il.ln3"]),
+                                    training)
             inter["gated_norm"] = gated_norm
 
-            fused = self._ln("il.ln4", T.add(
+            fused = T.layernorm(T.add(
                 _linear(T.concat_last([gated_norm, gate]), *self.mlp2),
-                _linear(e, *self.mlp3)))
+                _linear(e, *self.mlp3)), *self.lns["il.ln4"])
             fused = self._drop(fused, training)
         inter["fused"] = fused
 
@@ -240,7 +236,6 @@ class MlsaModel:
         logits = _linear(h_last, self.head_w, self.head_b)
         if single:
             logits = T.take_row(logits, 0)
-        inter["logits"] = logits
         return logits, inter
 
     def cast_float64(self) -> None:

@@ -497,9 +497,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name]
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     def zero_grads(self) -> None:
         for t in self.entries.values():
             t.grad[...] = 0.0

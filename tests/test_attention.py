@@ -53,9 +53,9 @@ def naive_vanilla(x, wq, wk, wv, n_heads):
     return out
 
 
-def make_params(seed=0, d_model=8, n_interests=3, n_heads=2, **kw):
+def make_params(seed=0, d_model=8, n_interests=3, n_heads=2):
     store = ParameterStore(rng_seed=seed, dtype=np.float64)
-    return store, init_lsa(store, "lsa", d_model, n_interests, n_heads, **kw)
+    return store, init_lsa(store, "lsa", d_model, n_interests, n_heads)
 
 
 class TestInterestAggregate:
@@ -173,7 +173,7 @@ class TestVanillaAttention:
         rng = np.random.default_rng(11)
         for trial in range(10):
             n_heads = int(rng.choice([1, 2]))
-            _, p = make_params(seed=20 + trial, n_heads=n_heads, with_theta=False)
+            _, p = make_params(seed=20 + trial, n_heads=n_heads, n_interests=None)
             x = rng.standard_normal((int(rng.integers(1, 9)), 8))
             got = vanilla_attention(Tensor(x), p).data
             expect = naive_vanilla(x, p.w_q.data, p.w_k.data, p.w_v.data, n_heads)
@@ -181,13 +181,19 @@ class TestVanillaAttention:
 
     def test_uniform_attention_averages_values(self):
         # identical positions => uniform weights => output is the mean value
-        _, p = make_params(seed=12, with_theta=False, n_heads=1)
+        _, p = make_params(seed=12, n_interests=None, n_heads=1)
         x = np.tile(np.random.default_rng(12).standard_normal((1, 8)), (5, 1))
         out = vanilla_attention(Tensor(x), p).data
         np.testing.assert_allclose(out, (x @ p.w_v.data), rtol=1e-10)
 
+    def test_no_interest_count_builds_no_prototypes(self):
+        store = ParameterStore(0)
+        p = init_lsa(store, "a", 8, None, 2)
+        assert p.theta is None
+        assert list(store.entries) == ["a.w_q", "a.w_k", "a.w_v"]
+
     def test_gradients(self):
-        store, p = make_params(seed=13, d_model=4, n_heads=2, with_theta=False)
+        store, p = make_params(seed=13, d_model=4, n_heads=2, n_interests=None)
         x = np.random.default_rng(13).standard_normal((4, 4))
 
         def loss_fn(_store):

@@ -24,8 +24,8 @@ class TestRoundTrip:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(store, path)
         loaded = load_checkpoint(path)
-        assert loaded.names() == store.names()
-        for name in store.names():
+        assert list(loaded.entries) == list(store.entries)
+        for name in store.entries:
             np.testing.assert_array_equal(loaded[name].data, store[name].data)
 
     def test_gradients_never_serialized(self, store, tmp_path):

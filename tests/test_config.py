@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from mlsa4rec.bench import COMPONENTS
 from mlsa4rec.config import (ConfigError, RunConfig, SCHEMA, build_config,
                              describe_keys, parse_config_file)
 from mlsa4rec.model import ModelConfig
@@ -27,6 +28,12 @@ class TestDefaults:
         text = describe_keys()
         for key in SCHEMA:
             assert key in text
+
+
+    def test_describe_names_every_bench_component(self):
+        text = describe_keys()
+        for component in COMPONENTS:
+            assert component in text
 
 
 class TestConversion:

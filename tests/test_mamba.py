@@ -238,7 +238,7 @@ class TestFusedScanOp:
             T.tsum(T.mul(y, Tensor(gy))).backward()
             outs.append(y.data)
             grads.append([x.grad] + [t.grad.copy() for t in store.entries.values()])
-        return outs, grads, store.names()
+        return outs, grads, list(store.entries)
 
     @pytest.mark.parametrize("shape, keep", [
         ((6, 4), np.arange(6)[:, None] >= 2),

@@ -235,26 +235,35 @@ class TestVariants:
             assert not np.allclose(outs["default"], outs[v])
 
     def test_v1_has_no_attention_parameters(self):
-        names = MlsaModel(small_config(variant="v1")).params.names()
+        names = list(MlsaModel(small_config(variant="v1")).params.entries)
         assert not any(".lsa." in n or ".mlp" in n for n in names)
         assert any("il.mamba" in n for n in names)
 
     def test_v2_has_no_state_space_parameters(self):
-        names = MlsaModel(small_config(variant="v2")).params.names()
+        names = list(MlsaModel(small_config(variant="v2")).params.entries)
         assert not any(".mamba." in n or ".ssm." in n for n in names)
         assert any(".pffn." in n for n in names)
         assert any(".lsa." in n for n in names)
 
     def test_v3_uses_attention_without_prototypes(self):
-        names = MlsaModel(small_config(variant="v3")).params.names()
+        names = list(MlsaModel(small_config(variant="v3")).params.entries)
         assert "il.lsa.theta" not in names
         assert "il.lsa.w_q" in names
 
     def test_v4_swaps_stack_only(self):
-        names = MlsaModel(small_config(variant="v4")).params.names()
+        names = list(MlsaModel(small_config(variant="v4")).params.entries)
         assert any(n.startswith("il.mamba") for n in names)
         assert any(".pffn." in n for n in names)
         assert not any(n.startswith("stack.") and ".mamba." in n for n in names)
+
+    def test_v3_never_reads_interest_count(self):
+        ids = np.array([[0, 0, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8]])
+        m_1 = MlsaModel(small_config(variant="v3", n_interests=1), seed=15)
+        m_7 = MlsaModel(small_config(variant="v3", n_interests=7), seed=15)
+        assert list(m_1.params.entries) == list(m_7.params.entries)
+        for name, t in m_1.params.entries.items():
+            np.testing.assert_array_equal(t.data, m_7.params[name].data)
+        np.testing.assert_array_equal(m_1.score(ids), m_7.score(ids))
 
     def test_v3_equals_default_on_single_position(self):
         # with one position and one interest, pooling and plain attention
@@ -273,7 +282,7 @@ class TestVariants:
 
     def test_parameter_manifest_default(self):
         model = MlsaModel(small_config(n_layers=2))
-        names = set(model.params.names())
+        names = set(model.params.entries)
         mamba_leaves = ["in_proj.w", "conv.w", "conv.b", "ssm.a_log",
                         "ssm.proj_B.w", "ssm.proj_C.w", "ssm.proj_delta.w",
                         "ssm.proj_delta.b", "ssm.skip_d", "out_proj.w"]
