@@ -36,13 +36,13 @@ def init_lsa(store: ParameterStore, prefix: str, d_model: int,
     it is set, none (the vanilla attention's parameters) when it is None."""
     if d_model % n_heads:
         raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    theta = None
-    if n_interests is not None:
-        theta = store.uniform(f"{prefix}.theta", (n_interests, d_model), d_model)
-    w_q = store.uniform(f"{prefix}.w_q", (d_model, d_model), d_model)
-    w_k = store.uniform(f"{prefix}.w_k", (d_model, d_model), d_model)
-    w_v = store.uniform(f"{prefix}.w_v", (d_model, d_model), d_model)
-    return LsaParams(theta, w_q, w_k, w_v, n_heads)
+    return LsaParams(
+        theta=None if n_interests is None else
+        store.uniform(f"{prefix}.theta", (n_interests, d_model), d_model),
+        w_q=store.uniform(f"{prefix}.w_q", (d_model, d_model), d_model),
+        w_k=store.uniform(f"{prefix}.w_k", (d_model, d_model), d_model),
+        w_v=store.uniform(f"{prefix}.w_v", (d_model, d_model), d_model),
+        n_heads=n_heads)
 
 
 def interest_aggregate(hmat: Tensor, theta: Tensor, keep: np.ndarray | None = None

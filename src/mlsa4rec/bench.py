@@ -86,6 +86,8 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
         raise ValueError("need >= 4 strictly increasing sequence lengths")
     if reps < 5:
         raise ValueError("reps must be >= 5")
+    if not components:
+        raise ValueError(f"no components to benchmark; choose from {COMPONENTS}")
     cfg = ModelConfig(vocab_size=VOCAB_SIZE, **shape)
     cfg.validate()
     points = []

@@ -1,13 +1,4 @@
-"""Command-line entry point.
-
-Subcommands:
-    prep        parse, filter, split, report stats, optionally cache
-    train       fit a model, save best checkpoint and metric history
-    eval        score a checkpoint on the test (and validation) split
-    gridsearch  exhaustive hyperparameter sweep with early stopping
-    bench       runtime-scaling benchmark
-    gradcheck   finite-difference validation of analytic gradients
-    ablate      train every architecture variant, emit a comparison CSV
+"""Command-line entry point; the subcommands are listed once, in `COMMANDS`.
 
 Every command takes `--config FILE` plus `--key=value` (or `--key value`)
 overrides; keys are listed by `mlsa4rec help`.  Exit codes: 0 success,
@@ -26,27 +17,14 @@ import numpy as np
 from .bench import bench_scaling, write_scaling_svg
 from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
-from .data import (Dataset, Split, build_split, dataset_stats, kcore_filter,
-                   load_dataset_cache, pad_truncate, parse_amazon,
-                   parse_movielens, save_dataset_cache, split_dataset,
+from .data import (DATASETS, RAW_PARSERS, Dataset, Split, build_split,
+                   dataset_stats, kcore_filter, load_dataset_cache,
+                   pad_truncate, save_dataset_cache, split_dataset,
                    synthetic_successor_dataset)
 from .model import VARIANTS, MlsaModel
 from .tensor import load_checkpoint, save_checkpoint
 from .train_eval import evaluate, grid_search, model_grad_check, train_multi_seed
 
-USAGE = """usage: mlsa4rec <command> [--config FILE] [--key=value ...]
-
-commands:
-  prep        parse + filter + split a dataset, print its statistics
-  train       train a model, write checkpoint/metrics
-  eval        evaluate a checkpoint on validation and test splits
-  gridsearch  sweep grid_* keys, report the best cell
-  bench       measure runtime scaling
-  gradcheck   compare analytic gradients against finite differences
-  ablate      train all variants and tabulate test metrics
-  help        show all config keys
-
-run `mlsa4rec help` for the key reference."""
 
 class UsageError(Exception):
     pass
@@ -107,12 +85,10 @@ def _resolve_path(path: str) -> str:
 
 def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
     """Parse, k-core filter and split the raw file; write the cache if set."""
-    path = _resolve_path(cfg.path)
-    parsers = {"movielens": parse_movielens, "amazon": parse_amazon}
-    if cfg.dataset not in parsers:
+    if cfg.dataset not in RAW_PARSERS:
         raise ValueError(f"dataset {cfg.dataset!r} has no raw parser")
-    records = kcore_filter(parsers[cfg.dataset](path), cfg.kcore,
-                           cfg.filter_mode)
+    records = kcore_filter(RAW_PARSERS[cfg.dataset](_resolve_path(cfg.path)),
+                           cfg.kcore, cfg.filter_mode)
     ds, split = build_split(records)
     if cfg.cache:
         save_dataset_cache(ds, cfg.cache)
@@ -120,6 +96,8 @@ def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
 
 
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
+    if cfg.dataset not in DATASETS:
+        raise ValueError(f"unknown dataset {cfg.dataset!r}; choose from {DATASETS}")
     if cfg.dataset == "synthetic":
         ds, split = synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
                                                 cfg.syn_len, cfg.seed)
@@ -135,12 +113,12 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
 
 
 def cmd_prep(cfg: RunConfig) -> int:
-    if cfg.dataset == "synthetic":
-        ds, _ = _load_data(cfg)
-    else:
+    if cfg.dataset in RAW_PARSERS:
         ds, _ = _from_raw(cfg)
         if cfg.cache:
             print(f"cache written: {cfg.cache}")
+    else:
+        ds, _ = _load_data(cfg)
     users, items, inter, avg = dataset_stats(ds)
     print(f"{users} users, {items} items, {inter} interactions, avg {avg:.1f}")
     return 0
@@ -260,9 +238,23 @@ def cmd_help(_cfg: RunConfig) -> int:
     return 0
 
 
-HANDLERS = {"prep": cmd_prep, "train": cmd_train, "eval": cmd_eval,
-            "gridsearch": cmd_gridsearch, "bench": cmd_bench,
-            "gradcheck": cmd_gradcheck, "ablate": cmd_ablate, "help": cmd_help}
+# command -> (handler, summary in USAGE)
+COMMANDS = {
+    "prep": (cmd_prep, "parse + filter + split a dataset, print its statistics"),
+    "train": (cmd_train, "train a model, write checkpoint/metrics"),
+    "eval": (cmd_eval, "evaluate a checkpoint on validation and test splits"),
+    "gridsearch": (cmd_gridsearch, "sweep grid_* keys, report the best cell"),
+    "bench": (cmd_bench, "measure runtime scaling"),
+    "gradcheck": (cmd_gradcheck,
+                  "compare analytic gradients against finite differences"),
+    "ablate": (cmd_ablate, "train all variants and tabulate test metrics"),
+    "help": (cmd_help, "show all config keys"),
+}
+HANDLERS = {name: handler for name, (handler, _) in COMMANDS.items()}
+
+USAGE = ("usage: mlsa4rec <command> [--config FILE] [--key=value ...]\n\ncommands:\n"
+         + "".join(f"  {name:<11} {text}\n" for name, (_, text) in COMMANDS.items())
+         + "\nrun `mlsa4rec help` for the key reference.")
 
 
 def main(argv: list[str] | None = None) -> int:

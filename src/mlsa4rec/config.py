@@ -12,8 +12,9 @@ from dataclasses import dataclass, fields
 from typing import Any, get_type_hints
 
 from .bench import COMPONENTS
-from .model import ModelConfig
-from .train_eval import GRID_KEYS, TrainConfig
+from .data import DATASETS, FILTER_MODES
+from .model import VARIANTS, ModelConfig
+from .train_eval import AUGMENT_MODES, GRID_KEYS, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -47,7 +48,7 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
         "expand": "channel expansion inside each Mamba block",
         "d_conv": "causal depthwise conv kernel size",
         "dropout": "dropout rate in [0,1)",
-        "variant": "architecture: default|v1|v2|v3|v4",
+        "variant": "architecture: " + "|".join(VARIANTS),
     }),
     # training
     **_field_keys(TrainConfig, {
@@ -57,15 +58,15 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
         "patience": "early-stop patience on validation NDCG@k",
         "seed": "base RNG seed",
         "k": "metric cutoff",
-        "augment": "training examples per user: none|sliding",
+        "augment": "training examples per user: " + "|".join(AUGMENT_MODES),
         "mask_history": "exclude already-seen items from ranking",
         "seeds": "independent seeds to average over",
     }),
     # data
-    "dataset": ("synthetic", str, "movielens|amazon|synthetic"),
+    "dataset": ("synthetic", str, "|".join(DATASETS)),
     "path": ("", str, "raw ratings file (resolved against MLSA_DATA_DIR)"),
     "cache": ("", str, "processed-dataset cache file to read/write"),
-    "filter_mode": ("iterative", str, "k-core mode: iterative|one-pass"),
+    "filter_mode": ("iterative", str, "k-core mode: " + "|".join(FILTER_MODES)),
     "kcore": (5, int, "minimum interactions per user and per item"),
     "syn_items": (500, int, "synthetic data: item count"),
     "syn_users": (2000, int, "synthetic data: user count"),
@@ -148,15 +149,18 @@ class RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read `key = value` lines; # starts a comment; blank lines skipped."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path} line {lineno}: expected key = value")
-            key, _, raw = stripped.partition("=")
-            out[key.strip()] = raw.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(f"{path} line {lineno}: expected key = value")
+                key, _, raw = stripped.partition("=")
+                out[key.strip()] = raw.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return out
 
 
@@ -172,7 +176,5 @@ def build_config(file_values: dict[str, str] | None = None,
 
 
 def describe_keys() -> str:
-    lines = []
-    for key, (default, typ, help_text) in SCHEMA.items():
-        lines.append(f"  {key:<18} {typ.__name__:<6} default={default!r:<12} {help_text}")
-    return "\n".join(lines)
+    return "\n".join(f"  {key:<18} {typ.__name__:<6} default={default!r:<12} {text}"
+                     for key, (default, typ, text) in SCHEMA.items())

@@ -62,10 +62,6 @@ class Split:
     valid: list[int]
     test: list[int]
 
-    @property
-    def user_count(self) -> int:
-        return len(self.train)
-
 
 def _parse_lines(path: str, sep: str, source: str) -> list[InteractionRecord]:
     records = []
@@ -82,7 +78,7 @@ def _parse_lines(path: str, sep: str, source: str) -> list[InteractionRecord]:
             try:
                 ts_val = int(float(ts))
                 rating_val = float(rating)
-            except ValueError:
+            except (ValueError, OverflowError):     # "x", or "inf" as a timestamp
                 raise ParseError(
                     f"{source} line {lineno}: non-numeric rating/timestamp") from None
             if ts_val < 0:
@@ -101,6 +97,12 @@ def parse_amazon(path: str) -> list[InteractionRecord]:
     return _parse_lines(path, ",", "amazon")
 
 
+# dataset name -> parser of its raw file; "synthetic" is generated instead
+RAW_PARSERS = {"movielens": parse_movielens, "amazon": parse_amazon}
+DATASETS = (*RAW_PARSERS, "synthetic")
+FILTER_MODES = ("iterative", "one-pass")
+
+
 def kcore_filter(records: list[InteractionRecord], k: int = 5,
                  mode: str = "iterative") -> list[InteractionRecord]:
     """Drop users and items with fewer than k interactions.
@@ -111,7 +113,7 @@ def kcore_filter(records: list[InteractionRecord], k: int = 5,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode not in ("iterative", "one-pass"):
+    if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
     current = records
     while True:

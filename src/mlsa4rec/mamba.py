@@ -43,28 +43,29 @@ class MambaParams:
 
 def init_ssm(store: ParameterStore, prefix: str, e_inner: int,
              d_state: int) -> SsmParams:
-    a_log = store.add(f"{prefix}.a_log",
-                      np.tile(np.log(np.arange(1, d_state + 1)), (e_inner, 1)))
-    proj_b = store.uniform(f"{prefix}.proj_B.w", (e_inner, d_state), e_inner)
-    proj_c = store.uniform(f"{prefix}.proj_C.w", (e_inner, d_state), e_inner)
-    proj_delta_w = store.uniform(f"{prefix}.proj_delta.w", (e_inner, e_inner), e_inner)
-    # bias puts the initial timescale log-uniformly inside DELTA_INIT_RANGE
-    lo, hi = np.log(DELTA_INIT_RANGE[0]), np.log(DELTA_INIT_RANGE[1])
-    dt0 = np.exp(store.rng.uniform(lo, hi, size=e_inner))
-    proj_delta_b = store.add(f"{prefix}.proj_delta.b", np.log(np.expm1(dt0)))
-    skip_d = store.add(f"{prefix}.skip_d", np.ones(e_inner))
-    return SsmParams(a_log, proj_b, proj_c, proj_delta_w, proj_delta_b, skip_d)
+    return SsmParams(
+        a_log=store.add(f"{prefix}.a_log",
+                        np.tile(np.log(np.arange(1, d_state + 1)), (e_inner, 1))),
+        proj_b=store.uniform(f"{prefix}.proj_B.w", (e_inner, d_state), e_inner),
+        proj_c=store.uniform(f"{prefix}.proj_C.w", (e_inner, d_state), e_inner),
+        proj_delta_w=store.uniform(f"{prefix}.proj_delta.w", (e_inner, e_inner),
+                                   e_inner),
+        # the initial timescale softplus(bias) is log-uniform in DELTA_INIT_RANGE
+        proj_delta_b=store.add(f"{prefix}.proj_delta.b", np.log(np.expm1(np.exp(
+            store.rng.uniform(*np.log(DELTA_INIT_RANGE), size=e_inner))))),
+        skip_d=store.add(f"{prefix}.skip_d", np.ones(e_inner)))
 
 
 def init_mamba(store: ParameterStore, prefix: str, d_model: int, d_state: int,
                d_conv: int, expand: int) -> MambaParams:
     e_inner = expand * d_model
-    in_proj = store.uniform(f"{prefix}.in_proj.w", (d_model, 2 * e_inner), d_model)
-    conv_w = store.uniform(f"{prefix}.conv.w", (e_inner, d_conv), d_conv)
-    conv_b = store.zeros(f"{prefix}.conv.b", (e_inner,))
-    ssm = init_ssm(store, f"{prefix}.ssm", e_inner, d_state)
-    out_proj = store.uniform(f"{prefix}.out_proj.w", (e_inner, d_model), e_inner)
-    return MambaParams(in_proj, conv_w, conv_b, ssm, out_proj, e_inner)
+    return MambaParams(
+        in_proj=store.uniform(f"{prefix}.in_proj.w", (d_model, 2 * e_inner), d_model),
+        conv_w=store.uniform(f"{prefix}.conv.w", (e_inner, d_conv), d_conv),
+        conv_b=store.zeros(f"{prefix}.conv.b", (e_inner,)),
+        ssm=init_ssm(store, f"{prefix}.ssm", e_inner, d_state),
+        out_proj=store.uniform(f"{prefix}.out_proj.w", (e_inner, d_model), e_inner),
+        e_inner=e_inner)
 
 
 def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
@@ -88,8 +89,7 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
     ad = np.ascontiguousarray(a.data)
     dsk = skip_d.data
     parents = (u, pre, bias, a, bm, cm, skip_d)
-    need_grad = T.grad_enabled() and any(t.requires_grad for t in parents)
-    y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, need_grad)
+    y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, T.recording(parents))
     y += ud * dsk
 
     def bwd(g):

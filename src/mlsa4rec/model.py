@@ -71,10 +71,16 @@ class PffnParams:
 
 @dataclass
 class StackLayer:
-    mamba: MambaParams | None
-    pffn: PffnParams | None
-    ln_g: Tensor
-    ln_b: Tensor
+    """Stack layer b's mixer; its norm is lns[f"stack.{b}.ln"]."""
+    mamba: MambaParams | None = None
+    pffn: PffnParams | None = None
+
+    def mix(self, x: Tensor, keep: np.ndarray) -> Tensor:
+        """Mamba block or PFFN output; forward adds it at once, so no_grad frees it."""
+        if self.mamba is not None:
+            return mamba_block(x, self.mamba, keep)
+        p = self.pffn
+        return _linear(T.gelu(_linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 def _first_real_column(ids: np.ndarray) -> int:
@@ -110,7 +116,7 @@ class MlsaModel:
         if c.variant != "v2":
             self.il_mamba = init_mamba(store, "il.mamba", c.d_model, c.d_state,
                                        c.d_conv, c.expand)
-        self.lns["il.ln1"] = self._new_ln("il.ln1")
+        self._new_ln("il.ln1")
         if c.variant != "v1":
             # v3's attention is the vanilla one: no interest prototypes
             self.il_lsa = init_lsa(store, "il.lsa", c.d_model,
@@ -124,34 +130,33 @@ class MlsaModel:
             self.mlp3 = (store.uniform("il.mlp3.w", (c.d_model, c.d_model), c.d_model),
                          store.zeros("il.mlp3.b", (c.d_model,)))
             for name in ("il.ln2", "il.ln3", "il.ln4"):
-                self.lns[name] = self._new_ln(name)
+                self._new_ln(name)
 
         self.stack: list[StackLayer] = []
-        pffn_stack = c.variant in ("v2", "v4")
         for b in range(c.n_layers):
-            if pffn_stack:
+            if c.variant in ("v2", "v4"):
                 hidden = 4 * c.d_model
-                pffn = PffnParams(
-                    store.uniform(f"stack.{b}.pffn.w1", (c.d_model, hidden), c.d_model),
-                    store.zeros(f"stack.{b}.pffn.b1", (hidden,)),
-                    store.uniform(f"stack.{b}.pffn.w2", (hidden, c.d_model), hidden),
-                    store.zeros(f"stack.{b}.pffn.b2", (c.d_model,)))
-                layer = StackLayer(None, pffn, *self._new_ln(f"stack.{b}.ln"))
+                layer = StackLayer(pffn=PffnParams(
+                    w1=store.uniform(f"stack.{b}.pffn.w1", (c.d_model, hidden),
+                                     c.d_model),
+                    b1=store.zeros(f"stack.{b}.pffn.b1", (hidden,)),
+                    w2=store.uniform(f"stack.{b}.pffn.w2", (hidden, c.d_model), hidden),
+                    b2=store.zeros(f"stack.{b}.pffn.b2", (c.d_model,))))
             else:
-                mp = init_mamba(store, f"stack.{b}.mamba", c.d_model, c.d_state,
-                                c.d_conv, c.expand)
-                layer = StackLayer(mp, None, *self._new_ln(f"stack.{b}.ln"))
+                mamba = init_mamba(store, f"stack.{b}.mamba", c.d_model, c.d_state,
+                                   c.d_conv, c.expand)
+                layer = StackLayer(mamba=mamba)
             self.stack.append(layer)
+            self._new_ln(f"stack.{b}.ln")
 
         self.head_w = store.uniform("head.W", (c.d_model, c.vocab_size), c.d_model)
         self.head_b = store.zeros("head.b", (c.vocab_size,))
 
     # -- parameter helpers ---------------------------------------------
 
-    def _new_ln(self, name: str) -> tuple[Tensor, Tensor]:
-        g = self.params.add(f"{name}.g", np.ones(self.config.d_model))
-        b = self.params.zeros(f"{name}.b", (self.config.d_model,))
-        return g, b
+    def _new_ln(self, name: str) -> None:
+        self.lns[name] = (self.params.add(f"{name}.g", np.ones(self.config.d_model)),
+                          self.params.zeros(f"{name}.b", (self.config.d_model,)))
 
     def reseed_dropout(self, seed: int) -> None:
         self._drop_rng = np.random.default_rng(seed ^ 0x5EED)
@@ -221,14 +226,8 @@ class MlsaModel:
 
         x = fused
         for b, layer in enumerate(self.stack):
-            if layer.mamba is not None:
-                x = T.layernorm(T.add(mamba_block(x, layer.mamba, keep), x),
-                                layer.ln_g, layer.ln_b)
-            else:
-                p = layer.pffn
-                y = _linear(T.gelu(_linear(x, p.w1, p.b1)), p.w2, p.b2)
-                x = T.layernorm(T.add(y, x), layer.ln_g, layer.ln_b)
-            x = self._drop(x, training)
+            x = self._drop(T.layernorm(T.add(layer.mix(x, keep), x),
+                                       *self.lns[f"stack.{b}.ln"]), training)
             inter[f"stack_{b}"] = x
 
         h_last = T.take_row(x, x.shape[-2] - 1)

@@ -43,23 +43,24 @@ class CheckpointError(IOError):
     """Checkpoint file is malformed or version-incompatible."""
 
 
-_grad_enabled = True
+_tape_on = True
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / benchmarks)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _tape_on
+    prev = _tape_on
+    _tape_on = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _tape_on = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
+def recording(parents: Iterable[Tensor]) -> bool:
+    """An op goes on the tape outside no_grad when a parent requires grad."""
+    return _tape_on and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -162,14 +163,10 @@ def make_op(data: np.ndarray, parents: Iterable[Tensor],
     out.data = data
     out.grad = None
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    taped = recording(parents)
+    out.requires_grad = taped
+    out._parents = parents if taped else ()
+    out._backward = backward if taped else None
     return out
 
 

@@ -18,6 +18,8 @@ from .data import Split, pad_truncate
 from .model import MlsaModel, ModelConfig
 from .tensor import ParameterStore, Tensor
 
+AUGMENT_MODES = ("none", "sliding")
+
 
 @dataclass
 class TrainConfig:
@@ -27,7 +29,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     k: int = 10
-    augment: str = "none"          # "none" | "sliding"
+    augment: str = "none"          # one of AUGMENT_MODES
     mask_history: bool = False
     seeds: int = 1
 
@@ -37,7 +39,7 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "patience", "k", "seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.augment not in ("none", "sliding"):
+        if self.augment not in AUGMENT_MODES:
             raise ValueError(f"unknown augment mode {self.augment!r}")
 
 

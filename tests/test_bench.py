@@ -59,6 +59,10 @@ class TestBenchScaling:
         with pytest.raises(ValueError, match="component"):
             bench_scaling(["warp_drive"], TINY_LENGTHS)
 
+    def test_empty_component_list_names_the_choices(self):
+        with pytest.raises(ValueError, match="no components.*full_model"):
+            bench_scaling([], TINY_LENGTHS)
+
     def test_rows_and_slopes(self):
         components = ["lsa", "mamba_block"]
         res = bench_scaling(components, TINY_LENGTHS, reps=5, d_model=16,

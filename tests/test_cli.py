@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mlsa4rec import bench, cli, train_eval
-from mlsa4rec.cli import main, write_csv
+from mlsa4rec.cli import HANDLERS, USAGE, main, write_csv
 from mlsa4rec.config import build_config
+from mlsa4rec.data import save_dataset_cache, synthetic_successor_dataset
 from mlsa4rec.model import VARIANTS, MlsaModel
 from mlsa4rec.train_eval import MetricsReport
 
@@ -65,6 +66,10 @@ class TestUsageErrors:
     def test_bad_value_type(self, capsys):
         code, _, err = run(["prep", "--epochs=soon"], capsys)
         assert code == 2
+
+    def test_usage_names_every_command(self):
+        for command in HANDLERS:
+            assert f"\n  {command} " in USAGE
 
     def test_help_lists_keys(self, capsys):
         code, out, _ = run(["help"], capsys)
@@ -130,6 +135,18 @@ class TestPrep:
         assert code == 1
         assert "leave-one-out split needs >= 3 interactions per user" in err
         assert "users" not in out
+
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    def test_unknown_dataset_lists_the_choices(self, tmp_path, capsys, command):
+        # a readable cache must not make an unknown name look valid
+        cache = tmp_path / "c.json"
+        save_dataset_cache(synthetic_successor_dataset(10, 4, 5)[0], str(cache))
+        code, out, err = run([command, "--dataset", "nonsense", "--cache",
+                              str(cache)] + TINY_MODEL + TINY_TRAIN, capsys)
+        assert code == 1
+        assert "unknown dataset 'nonsense'" in err
+        assert "movielens" in err and "synthetic" in err
+        assert out == ""
 
     def test_missing_file(self, capsys):
         code, _, err = run(["prep", "--dataset", "movielens",
@@ -281,6 +298,16 @@ class TestBenchCli:
         code, _, err = run(["bench", "--bench_lengths", "8,16"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--out", "bench.csv"]])
+    def test_empty_component_list_fails_cleanly(self, tmp_path, capsys,
+                                                monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["bench", "--components", ","] + extra, capsys)
+        assert code == 1
+        assert "no components to benchmark" in err and "full_model" in err
+        assert out == ""
+        assert not (tmp_path / "bench.csv").exists()
+
 
 class TestGridsearchCli:
     def test_singleton_grid(self, tmp_path, capsys):
@@ -414,6 +441,19 @@ class TestConfigFile:
                             "--syn_users", "6"], capsys)
         assert code == 0
         assert "6 users, 25 items" in out
+
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, kind):
+        conf = tmp_path / "run.conf"
+        if kind == "directory":
+            conf.mkdir()
+        elif kind == "not utf-8":
+            conf.write_bytes(b"syn_items = \xff\n")
+        code, out, err = run(["train", "--config", str(conf)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {conf}")
+        assert "Traceback" not in err and out == ""
 
 
 class TestEntryPoint:

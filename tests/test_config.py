@@ -7,8 +7,9 @@ import pytest
 from mlsa4rec.bench import COMPONENTS
 from mlsa4rec.config import (ConfigError, RunConfig, SCHEMA, build_config,
                              describe_keys, parse_config_file)
-from mlsa4rec.model import ModelConfig
-from mlsa4rec.train_eval import TrainConfig
+from mlsa4rec.data import DATASETS, FILTER_MODES
+from mlsa4rec.model import VARIANTS, ModelConfig
+from mlsa4rec.train_eval import AUGMENT_MODES, TrainConfig
 
 
 class TestDefaults:
@@ -34,6 +35,15 @@ class TestDefaults:
         text = describe_keys()
         for component in COMPONENTS:
             assert component in text
+
+    @pytest.mark.parametrize("key, choices", [
+        ("components", COMPONENTS), ("variant", VARIANTS),
+        ("augment", AUGMENT_MODES), ("filter_mode", FILTER_MODES),
+        ("dataset", DATASETS)])
+    def test_describe_names_every_choice(self, key, choices):
+        line = next(line for line in describe_keys().splitlines()
+                    if line.split()[0] == key)
+        assert line.endswith("|".join(choices))
 
 
 class TestConversion:
@@ -84,6 +94,16 @@ class TestFileParsing:
         p = tmp_path / "bad.conf"
         p.write_text("lr = 0.005\njust a sentence\n")
         with pytest.raises(ConfigError, match="line 2"):
+            parse_config_file(str(p))
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_file_names_it(self, tmp_path, kind):
+        p = tmp_path / "run.conf"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not utf-8":
+            p.write_bytes(b"d_model = \xff\xfe\n")
+        with pytest.raises(ConfigError, match="run.conf"):
             parse_config_file(str(p))
 
     def test_precedence_default_file_override(self, tmp_path):

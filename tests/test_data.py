@@ -70,6 +70,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1"):
             parse_amazon(str(p))
 
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "1e400"])
+    def test_overflowing_timestamp_reports_line(self, tmp_path, ts):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"u,i,5,1\nu,i,5,{ts}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_amazon(str(p))
+
     def test_negative_timestamp(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("u,i,5,-3\n")
@@ -261,4 +268,4 @@ class TestSynthetic:
         assert split.train == [[1, 2]]
         assert split.valid == [3]
         assert split.test == [4]
-        assert split.user_count == 1
+        assert len(split.train) == 1

@@ -157,8 +157,9 @@ class TestStack:
         _, inter = model.forward(np.array([3, 7, 2, 11]))
         fused = inter["fused"].data[0]
         layer = model.stack[0]
+        g, b = model.lns["stack.0.ln"]
         expect = np_layernorm(np_mamba(fused, layer.mamba) + fused,
-                              layer.ln_g.data, layer.ln_b.data)
+                              g.data, b.data)
         np.testing.assert_allclose(inter["stack_0"].data[0], expect,
                                    rtol=1e-7, atol=1e-9)
 
@@ -175,8 +176,8 @@ class TestStack:
         fused = inter["fused"].data[0]
         p = model.stack[0].pffn
         y = np_gelu(fused @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
-        expect = np_layernorm(y + fused, model.stack[0].ln_g.data,
-                              model.stack[0].ln_b.data)
+        g, b = model.lns["stack.0.ln"]
+        expect = np_layernorm(y + fused, g.data, b.data)
         np.testing.assert_allclose(inter["stack_0"].data[0], expect,
                                    rtol=1e-7, atol=1e-9)
 
@@ -429,3 +430,52 @@ class TestStoreManagement:
         assert not np.allclose(dst.score(ids), src.score(ids))
         dst.params.load_values(load_checkpoint(path).snapshot())
         np.testing.assert_array_equal(dst.score(ids), src.score(ids))
+
+
+# bundle field -> the suffix of the store name it must hold
+MAMBA_FIELDS = {"in_proj": "in_proj.w", "conv_w": "conv.w", "conv_b": "conv.b",
+                "out_proj": "out_proj.w"}
+SSM_FIELDS = {"a_log": "a_log", "proj_b": "proj_B.w", "proj_c": "proj_C.w",
+              "proj_delta_w": "proj_delta.w", "proj_delta_b": "proj_delta.b",
+              "skip_d": "skip_d"}
+
+
+def wired_params(model):
+    """(tensor a model field holds, the store name that field stands for)."""
+    pairs = [(model.embedding, "embedding.M"), (model.head_w, "head.W"),
+             (model.head_b, "head.b")]
+
+    def mamba(p, prefix):
+        pairs.extend((getattr(p, f), f"{prefix}.{n}") for f, n in MAMBA_FIELDS.items())
+        pairs.extend((getattr(p.ssm, f), f"{prefix}.ssm.{n}")
+                     for f, n in SSM_FIELDS.items())
+
+    if model.il_mamba is not None:
+        mamba(model.il_mamba, "il.mamba")
+    if model.il_lsa is not None:
+        pairs.extend((getattr(model.il_lsa, f), f"il.lsa.{f}")
+                     for f in ("theta", "w_q", "w_k", "w_v")
+                     if getattr(model.il_lsa, f) is not None)
+        for i, (w, b) in enumerate((model.mlp1, model.mlp2, model.mlp3), start=1):
+            pairs += [(w, f"il.mlp{i}.w"), (b, f"il.mlp{i}.b")]
+    for b, layer in enumerate(model.stack):
+        if layer.mamba is not None:
+            mamba(layer.mamba, f"stack.{b}.mamba")
+        else:
+            pairs.extend((getattr(layer.pffn, f), f"stack.{b}.pffn.{f}")
+                         for f in ("w1", "b1", "w2", "b2"))
+    for name, (g, b) in model.lns.items():
+        pairs += [(g, f"{name}.g"), (b, f"{name}.b")]
+    return pairs
+
+
+class TestWiring:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_field_holds_its_named_parameter(self, variant):
+        # same-shaped parameters (proj_B and proj_C, w_q, w_k and w_v) would
+        # run if swapped; only their names tell them apart
+        model = MlsaModel(small_config(variant=variant, n_layers=1), seed=23)
+        pairs = wired_params(model)
+        for tensor, name in pairs:
+            assert tensor is model.params[name], name
+        assert sorted(name for _, name in pairs) == sorted(model.params.entries)
