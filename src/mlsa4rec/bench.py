@@ -88,6 +88,10 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
         raise ValueError("reps must be >= 5")
     if not components:
         raise ValueError(f"no components to benchmark; choose from {COMPONENTS}")
+    repeated = [c for i, c in enumerate(components) if c in components[:i]]
+    if repeated:
+        raise ValueError(f"component {repeated[0]!r} is listed more than once; "
+                         f"choose each of {COMPONENTS} at most once")
     cfg = ModelConfig(vocab_size=VOCAB_SIZE, **shape)
     cfg.validate()
     points = []

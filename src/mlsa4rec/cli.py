@@ -19,10 +19,9 @@ from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
 from .data import (DATASETS, RAW_PARSERS, Dataset, Split, build_split,
                    dataset_stats, kcore_filter, load_dataset_cache,
-                   pad_truncate, save_dataset_cache, split_dataset,
-                   synthetic_successor_dataset)
+                   pad_truncate, save_dataset_cache, synthetic_successor_dataset)
 from .model import VARIANTS, MlsaModel
-from .tensor import load_checkpoint, save_checkpoint
+from .tensor import CheckpointError, ShapeError, load_checkpoint, save_checkpoint
 from .train_eval import evaluate, grid_search, model_grad_check, train_multi_seed
 
 
@@ -85,8 +84,6 @@ def _resolve_path(path: str) -> str:
 
 def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
     """Parse, k-core filter and split the raw file; write the cache if set."""
-    if cfg.dataset not in RAW_PARSERS:
-        raise ValueError(f"dataset {cfg.dataset!r} has no raw parser")
     records = kcore_filter(RAW_PARSERS[cfg.dataset](_resolve_path(cfg.path)),
                            cfg.kcore, cfg.filter_mode)
     ds, split = build_split(records)
@@ -96,14 +93,17 @@ def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
 
 
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
+    """A raw dataset reads --cache if it exists, else parses and writes it."""
     if cfg.dataset not in DATASETS:
         raise ValueError(f"unknown dataset {cfg.dataset!r}; choose from {DATASETS}")
     if cfg.dataset == "synthetic":
+        if cfg.cache:
+            raise ValueError("--cache applies to raw datasets only; synthetic "
+                             "data is generated from --seed")
         ds, split = synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
                                                 cfg.syn_len, cfg.seed)
     elif cfg.cache and os.path.exists(cfg.cache):
-        ds = load_dataset_cache(cfg.cache)
-        split = split_dataset(ds)
+        ds, split = load_dataset_cache(cfg.cache)
     else:
         ds, split = _from_raw(cfg)
     if ds.user_count == 0:
@@ -113,12 +113,10 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
 
 
 def cmd_prep(cfg: RunConfig) -> int:
-    if cfg.dataset in RAW_PARSERS:
-        ds, _ = _from_raw(cfg)
-        if cfg.cache:
-            print(f"cache written: {cfg.cache}")
-    else:
-        ds, _ = _load_data(cfg)
+    # prep always parses a raw dataset, so a set --cache has been written
+    ds, _ = _from_raw(cfg) if cfg.dataset in RAW_PARSERS else _load_data(cfg)
+    if cfg.cache:
+        print(f"cache written: {cfg.cache}")
     users, items, inter, avg = dataset_stats(ds)
     print(f"{users} users, {items} items, {inter} interactions, avg {avg:.1f}")
     return 0
@@ -146,8 +144,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     cfg.to_train_config().validate()
     ds, split = _load_data(cfg)
     model = MlsaModel(cfg.to_model_config(ds.vocab_size), seed=cfg.seed)
-    store = load_checkpoint(cfg.checkpoint)
-    model.params.load_values(store.snapshot())
+    try:
+        model.params.load_values(load_checkpoint(cfg.checkpoint))
+    except (KeyError, ShapeError) as exc:   # args[0]: str(KeyError) adds quotes
+        raise CheckpointError(f"{cfg.checkpoint}: does not fit the model the "
+                              f"flags describe: {exc.args[0]}") from None
     for phase in ("valid", "test"):
         rep = evaluate(model, split, phase, k=cfg.k,
                        mask_history=cfg.mask_history)

@@ -65,7 +65,7 @@ SCHEMA: dict[str, tuple[Any, type, str]] = {
     # data
     "dataset": ("synthetic", str, "|".join(DATASETS)),
     "path": ("", str, "raw ratings file (resolved against MLSA_DATA_DIR)"),
-    "cache": ("", str, "processed-dataset cache file to read/write"),
+    "cache": ("", str, "processed-dataset cache to read/write (raw datasets only)"),
     "filter_mode": ("iterative", str, "k-core mode: " + "|".join(FILTER_MODES)),
     "kcore": (5, int, "minimum interactions per user and per item"),
     "syn_items": (500, int, "synthetic data: item count"),

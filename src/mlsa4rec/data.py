@@ -198,18 +198,31 @@ def save_dataset_cache(ds: Dataset, path: str) -> None:
                    "sequences": ds.sequences}, fh)
 
 
-def load_dataset_cache(path: str) -> Dataset:
-    """Read a save_dataset_cache file.  Every user must have an id and at
-    least 3 items (train, valid, test), each a real item id."""
+def load_dataset_cache(path: str) -> tuple[Dataset, Split]:
+    """Read and split a save_dataset_cache file, or raise a ValueError naming
+    it.  Every user needs an id and at least 3 items (train, valid, test),
+    each a real item id."""
     with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except ValueError as exc:   # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not UTF-8 JSON ({exc})") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: top level is a {type(blob).__name__}, "
+                         "not an object")
     if blob.get("version") != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {blob.get('version')}")
+    for key in ("user_ids", "item_ids", "sequences"):
+        if not isinstance(blob.get(key), list):
+            raise ValueError(f"{path}: {key!r} is missing or not a list")
     ds = Dataset(blob["sequences"], blob["user_ids"], blob["item_ids"])
     if len(ds.user_ids) != len(ds.sequences):
         raise ValueError(f"{path}: {len(ds.user_ids)} user ids for "
                          f"{len(ds.sequences)} sequences")
     for user, seq in zip(ds.user_ids, ds.sequences):
+        if not isinstance(seq, list) or any(type(i) is not int for i in seq):
+            raise ValueError(f"{path}: user {user!r} has a sequence that is "
+                             "not a list of integer item ids")
         bad = [i for i in seq if not 1 <= i < ds.vocab_size]
         if bad:
             raise ValueError(f"{path}: user {user!r} has item id {bad[0]}, "
@@ -217,7 +230,7 @@ def load_dataset_cache(path: str) -> Dataset:
         if len(seq) < 3:
             raise ValueError(f"{path}: user {user!r} has {len(seq)} items; "
                              "a train/valid/test split needs at least 3")
-    return ds
+    return ds, split_dataset(ds)
 
 
 def synthetic_successor_dataset(n_items: int = 500, n_users: int = 2000,

@@ -515,7 +515,8 @@ class ParameterStore:
             if name not in self.entries:
                 raise KeyError(f"unknown parameter: {name}")
             if self.entries[name].data.shape != arr.shape:
-                raise ShapeError(f"shape mismatch loading {name}")
+                raise ShapeError(f"shape mismatch loading {name}: given {arr.shape}, "
+                                 f"parameter is {self.entries[name].data.shape}")
         for name, arr in values.items():
             self.entries[name].data[...] = arr.astype(self.dtype)
 
@@ -541,8 +542,8 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str) -> ParameterStore:
-    """Read a save_checkpoint file into a default-dtype store."""
+def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """Read a save_checkpoint file as float32 arrays by name, in file order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -559,18 +560,23 @@ def load_checkpoint(path: str) -> ParameterStore:
     version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    store = ParameterStore()
+    values: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name at byte {off - nlen} "
+                                  "is not UTF-8") from None
+        if name in values:
+            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         n = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
-        store.add(name, values)
+        values[name] = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return store
+    return values
 
 
 # ---------------------------------------------------------------------------

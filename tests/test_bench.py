@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mlsa4rec import kernels
+from mlsa4rec import bench, kernels
 from mlsa4rec.bench import (bench_scaling, fit_slope, write_scaling_svg,
                             _median_of_means)
 from mlsa4rec.cli import write_csv
@@ -62,6 +62,17 @@ class TestBenchScaling:
     def test_empty_component_list_names_the_choices(self):
         with pytest.raises(ValueError, match="no components.*full_model"):
             bench_scaling([], TINY_LENGTHS)
+
+    @pytest.mark.parametrize("components", [["lsa", "lsa"],
+                                            ["mamba_block", "lsa", "mamba_block"]])
+    def test_repeated_component_rejected_before_timing(self, components,
+                                                       monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a component was built")
+        monkeypatch.setattr(bench, "_component_fn", no_build)
+        with pytest.raises(ValueError, match=f"component '{components[-1]}' "
+                           "is listed more than once.*full_model"):
+            bench_scaling(components, TINY_LENGTHS)
 
     def test_rows_and_slopes(self):
         components = ["lsa", "mamba_block"]

@@ -4,6 +4,7 @@ import csv
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestPrep:
         assert "movielens" in err and "synthetic" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["prep", "train", "eval", "gridsearch",
+                                         "gradcheck", "ablate"])
+    def test_synthetic_rejects_cache(self, tmp_path, capsys, command):
+        cache = tmp_path / "c.json"
+        code, out, err = run([command] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                             + ["--cache", str(cache), "--grid_n_heads", "2",
+                                "--checkpoint", str(tmp_path / "m.ckpt")],
+                             capsys)
+        assert code == 1
+        assert err == ("error: --cache applies to raw datasets only; "
+                       "synthetic data is generated from --seed\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, capsys):
         code, _, err = run(["prep", "--dataset", "movielens",
                             "--path", "/no/such/file.dat"], capsys)
@@ -189,7 +204,7 @@ class TestTrainEvalCli:
         assert code == 0
         assert "test: hr@10" in out
         assert "checkpoint written" in out
-        header = open(csv_path).readline().strip()
+        header = Path(csv_path).read_text().splitlines()[0]
         assert header == "phase,epoch,hr@10,ndcg@10,mrr@10,loss,seed"
         assert [r["phase"] for r in read_csv(csv_path)] == ["valid", "test"]
 
@@ -209,6 +224,24 @@ class TestTrainEvalCli:
         assert code == 1
         assert "stack.0.mamba.in_proj.w" in err
         assert "hr@10" not in out
+
+    @pytest.mark.parametrize("flags, mismatch", [
+        (["--variant", "v3"], "unknown parameter: il.lsa.theta"),
+        (["--d_state", "5"], "shape mismatch loading il.mamba.ssm.a_log: "
+                             "given (16, 4), parameter is (16, 5)"),
+    ], ids=["name", "shape"])
+    def test_eval_names_the_checkpoint_it_cannot_load(self, tmp_path, capsys,
+                                                      flags, mismatch):
+        ckpt = str(tmp_path / "model.ckpt")
+        code, _, _ = run(["train"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                         + ["--checkpoint", ckpt], capsys)
+        assert code == 0
+        code, out, err = run(["eval"] + TINY_DATA + TINY_MODEL + flags
+                             + ["--checkpoint", ckpt], capsys)
+        assert code == 1
+        assert err == (f"error: {ckpt}: does not fit the model the flags "
+                       f"describe: {mismatch}\n")
+        assert out == ""
 
     def test_eval_requires_checkpoint(self, capsys):
         code, _, err = run(["eval"] + TINY_DATA + TINY_MODEL, capsys)
@@ -237,7 +270,7 @@ class TestTrainEvalCli:
                              + ["--seed", "3", "--checkpoint", path] + seeds,
                              capsys)
             assert code == 0
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "eval", "gridsearch"])
     @pytest.mark.parametrize("key", ["epochs", "patience", "k", "seeds"])
@@ -292,7 +325,7 @@ class TestBenchCli:
         assert "slope lsa:" in out
         rows = read_csv(out_csv)
         assert [int(r["L"]) for r in rows] == [8, 16, 32, 64]
-        assert "<svg" in open(out_svg).read()
+        assert "<svg" in Path(out_svg).read_text()
 
     def test_bad_lengths_fail_cleanly(self, capsys):
         code, _, err = run(["bench", "--bench_lengths", "8,16"], capsys)
@@ -307,6 +340,18 @@ class TestBenchCli:
         assert "no components to benchmark" in err and "full_model" in err
         assert out == ""
         assert not (tmp_path / "bench.csv").exists()
+
+
+    def test_repeated_component_fails_cleanly(self, tmp_path, capsys):
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run(["bench", "--components", "lsa,mamba_block,lsa",
+                              "--bench_lengths", "8,16,32,64",
+                              "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert "component 'lsa' is listed more than once" in err
+        assert "full_model" in err
+        assert out == ""
+        assert not out_csv.exists()
 
 
 class TestGridsearchCli:
@@ -426,7 +471,7 @@ class TestWriteCsv:
         path = str(tmp_path / "metrics.csv")
         write_csv(path, [{"phase": "valid", "epoch": 0, **rep.columns(),
                           "loss": 2.5, "seed": 1}])
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines == ["phase,epoch,hr@10,ndcg@10,mrr@10,loss,seed",
                          "valid,0,0.5,0.4,0.3,2.5,1"]
         assert str(rep) == "hr@10 0.5000 ndcg@10 0.4000 mrr@10 0.3000"

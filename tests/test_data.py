@@ -191,16 +191,20 @@ class TestPadTruncate:
             pad_truncate([1], 0)
 
 
+# a valid save_dataset_cache file's content, for the malformed-cache cases
+GOOD_CACHE = {"version": 1, "user_ids": ["u0"], "item_ids": ["", "a", "b", "c"],
+              "sequences": [[1, 2, 3]]}
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
-        ds, _ = build_split([rec("u", i, t) for t, i in enumerate("abc")]
-                            + [rec("v", i, t) for t, i in enumerate("cba")])
+        ds, split = build_split([rec("u", i, t) for t, i in enumerate("abc")]
+                                + [rec("v", i, t) for t, i in enumerate("cba")])
         path = str(tmp_path / "cache.json")
         save_dataset_cache(ds, path)
-        back = load_dataset_cache(path)
-        assert back.sequences == ds.sequences
-        assert back.user_ids == ds.user_ids
-        assert back.item_ids == ds.item_ids
+        back, back_split = load_dataset_cache(path)
+        assert back == ds
+        assert back_split == split
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -238,6 +242,29 @@ class TestCache:
         path = self.write_cache(tmp_path, [[1, 2, 3], [2, 3, 4]], user_ids=["u0"])
         with pytest.raises(ValueError, match="1 user ids for 2 sequences"):
             load_dataset_cache(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2, 3]", "top level is a list, not an object"),
+        ("{\"version\": 1,", "not UTF-8 JSON"),
+        *[(json.dumps({k: v for k, v in GOOD_CACHE.items() if k != key}),
+           f"'{key}' is missing or not a list")
+          for key in ("user_ids", "item_ids", "sequences")],
+        (json.dumps({**GOOD_CACHE, "sequences": {"u0": [1, 2, 3]}}),
+         "'sequences' is missing or not a list"),
+        (json.dumps({**GOOD_CACHE, "sequences": [[1, "b", 3]]}),
+         "user 'u0' has a sequence that is not a list of integer item ids"),
+        (json.dumps({**GOOD_CACHE, "sequences": [[1, 2.0, 3]]}),
+         "user 'u0' has a sequence that is not a list of integer item ids"),
+        (json.dumps({**GOOD_CACHE, "sequences": [7]}),
+         "user 'u0' has a sequence that is not a list of integer item ids"),
+    ], ids=["list", "truncated", "no_user_ids", "no_item_ids", "no_sequences",
+            "sequences_object", "string_id", "float_id", "sequence_int"])
+    def test_malformed_cache_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_dataset_cache(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 class TestSynthetic:

@@ -428,7 +428,7 @@ class TestStoreManagement:
         dst = MlsaModel(cfg, seed=21)
         ids = np.array([2, 3, 5, 7])
         assert not np.allclose(dst.score(ids), src.score(ids))
-        dst.params.load_values(load_checkpoint(path).snapshot())
+        dst.params.load_values(load_checkpoint(path))
         np.testing.assert_array_equal(dst.score(ids), src.score(ids))
 
 
