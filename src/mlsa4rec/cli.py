@@ -17,8 +17,8 @@ import numpy as np
 from .bench import bench_scaling, write_scaling_svg
 from .config import (ConfigError, RunConfig, SCHEMA, build_config,
                      describe_keys, parse_config_file)
-from .data import (DATASETS, RAW_PARSERS, Dataset, Split, build_split,
-                   dataset_stats, kcore_filter, load_dataset_cache,
+from .data import (CACHE_SETTINGS, DATASETS, RAW_PARSERS, Dataset, Split,
+                   build_split, dataset_stats, kcore_filter, load_dataset_cache,
                    pad_truncate, save_dataset_cache, synthetic_successor_dataset)
 from .model import VARIANTS, MlsaModel
 from .tensor import CheckpointError, ShapeError, load_checkpoint, save_checkpoint
@@ -82,18 +82,24 @@ def _resolve_path(path: str) -> str:
     raise FileNotFoundError(f"dataset file not found: {path}")
 
 
+def _cache_settings(cfg: RunConfig) -> dict:
+    return {key: getattr(cfg, key) for key in CACHE_SETTINGS}
+
+
 def _from_raw(cfg: RunConfig) -> tuple[Dataset, Split]:
     """Parse, k-core filter and split the raw file; write the cache if set."""
     records = kcore_filter(RAW_PARSERS[cfg.dataset](_resolve_path(cfg.path)),
                            cfg.kcore, cfg.filter_mode)
     ds, split = build_split(records)
     if cfg.cache:
-        save_dataset_cache(ds, cfg.cache)
+        save_dataset_cache(ds, cfg.cache, _cache_settings(cfg))
     return ds, split
 
 
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
-    """A raw dataset reads --cache if it exists, else parses and writes it."""
+    """A raw dataset reads --cache if it exists, and it must have been built
+    with this run's dataset, kcore and filter_mode; else it parses the raw
+    file and writes the cache."""
     if cfg.dataset not in DATASETS:
         raise ValueError(f"unknown dataset {cfg.dataset!r}; choose from {DATASETS}")
     if cfg.dataset == "synthetic":
@@ -103,7 +109,7 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Split]:
         ds, split = synthetic_successor_dataset(cfg.syn_items, cfg.syn_users,
                                                 cfg.syn_len, cfg.seed)
     elif cfg.cache and os.path.exists(cfg.cache):
-        ds, split = load_dataset_cache(cfg.cache)
+        ds, split = load_dataset_cache(cfg.cache, _cache_settings(cfg))
     else:
         ds, split = _from_raw(cfg)
     if ds.user_count == 0:

@@ -17,7 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+# What a cache records of the run that built it, in the order a load
+# compares them.  The raw file's path is not among them: the cache stands
+# in for that file, which may be absent.
+CACHE_SETTINGS = ("dataset", "kcore", "filter_mode")
 
 
 class ParseError(ValueError):
@@ -189,19 +193,22 @@ def dataset_stats(ds: Dataset) -> tuple[int, int, int, float]:
     return users, ds.item_count, inter, inter / users
 
 
-def save_dataset_cache(ds: Dataset, path: str) -> None:
-    """Persist the processed dataset (id maps + sequences) as JSON."""
+def save_dataset_cache(ds: Dataset, path: str, settings: dict) -> None:
+    """Persist the processed dataset (id maps + sequences) as JSON, with the
+    CACHE_SETTINGS values it was built with."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"version": CACHE_VERSION,
+                   **{key: settings[key] for key in CACHE_SETTINGS},
                    "user_ids": ds.user_ids,
                    "item_ids": ds.item_ids,
                    "sequences": ds.sequences}, fh)
 
 
-def load_dataset_cache(path: str) -> tuple[Dataset, Split]:
+def load_dataset_cache(path: str, settings: dict) -> tuple[Dataset, Split]:
     """Read and split a save_dataset_cache file, or raise a ValueError naming
-    it.  Every user needs an id and at least 3 items (train, valid, test),
-    each a real item id."""
+    it.  The file must have been built with these CACHE_SETTINGS values, and
+    every user needs an id and at least 3 items (train, valid, test), each a
+    real item id."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
@@ -211,7 +218,12 @@ def load_dataset_cache(path: str) -> tuple[Dataset, Split]:
         raise ValueError(f"{path}: top level is a {type(blob).__name__}, "
                          "not an object")
     if blob.get("version") != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {blob.get('version')}")
+        raise ValueError(f"{path}: cache version {blob.get('version')}, not "
+                         f"{CACHE_VERSION}; re-run prep to rebuild it")
+    for key in CACHE_SETTINGS:
+        if blob.get(key) != settings[key]:
+            raise ValueError(f"{path}: built with {key} {blob.get(key)!r}, not "
+                             f"{settings[key]!r}; re-run prep to rebuild it")
     for key in ("user_ids", "item_ids", "sequences"):
         if not isinstance(blob.get(key), list):
             raise ValueError(f"{path}: {key!r} is missing or not a list")

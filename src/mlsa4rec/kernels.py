@@ -37,17 +37,23 @@ _row_blocks) and the blocks run on a pool of _WORKERS threads, one per
 CPU this process may use; numpy releases the GIL inside each ufunc.  The
 unit of work is a whole row block, never fewer rows or a share of the
 channels: at score-long's shape (B 4, L 2048, one block), splitting the
-channels over 2 threads took 473 ms against 206 ms inline.  The pool's
-threads start at the first call with several blocks; a call with one
-block runs inline.  Each block writes its own rows of every output; the
-one sum across rows, da, is formed per block and the blocks' parts are
-added in block order, so the results do not depend on the worker count
-or on scheduling.
+channels over 2 threads took 473 ms against 206 ms inline.  Each block
+writes its own rows of every output; the one sum across rows, da, is
+formed per block and the blocks' parts are added in block order, so the
+results do not depend on the worker count or on scheduling.
+
+The pool runs two kinds of work through map_rows: the scan's row blocks,
+and the row groups of model.MlsaModel.score, each a whole no-grad
+forward.  A map with one item, or one worker, runs inline, and so does a
+map called from a pool thread: a score group's own scan runs its blocks
+on the thread that runs the group, so no pool thread ever waits on the
+pool.  The pool's threads start at the first map that uses them.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -59,10 +65,12 @@ _BLOCK_BYTES = 1 << 18
 # (B 128, L 17, N 32, E 128), C = 8 peaked 11 MB below C = 4 at the same
 # scan time; C = 16 saved 2 MB more but ran the scan about 3 % slower.
 _CHUNK_STEPS = 8
-# Threads that run row blocks: the CPUs this process may run on.
+# Threads that run row blocks and score groups: the CPUs this process may
+# run on.
 _WORKERS = len(os.sched_getaffinity(0))
-# Starts no thread until its first map.
-_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="mlsa4rec-scan")
+# Starts no thread until its first map; map_rows knows its threads by name.
+_POOL_NAME = "mlsa4rec-pool"
+_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix=_POOL_NAME)
 
 
 def get_backend() -> str:
@@ -100,12 +108,14 @@ def _row_blocks(B, N, E, dtype):
     return [slice(b, b + rows) for b in range(0, B, rows)]
 
 
-def _map_blocks(fn, blocks):
-    """[fn(r) for r in blocks], run on the pool when there are several
-    blocks and more than one worker; results come back in block order."""
-    if len(blocks) == 1 or _WORKERS == 1:
-        return [fn(r) for r in blocks]
-    return list(_pool.map(fn, blocks))
+def map_rows(fn, groups):
+    """[fn(g) for g in groups], run on the pool when there are several
+    groups, more than one worker and the caller is not a pool thread;
+    results come back in group order."""
+    if (len(groups) == 1 or _WORKERS == 1
+            or threading.current_thread().name.startswith(_POOL_NAME)):
+        return [fn(g) for g in groups]
+    return list(_pool.map(fn, groups))
 
 
 def scan_forward(u, delta, a, bm, cm, save_states: bool):
@@ -117,7 +127,7 @@ def scan_forward(u, delta, a, bm, cm, save_states: bool):
     y = np.empty((B, L, E), dtype=u.dtype)
     states = (np.empty((B, -(-L // _CHUNK_STEPS), N, E), dtype=u.dtype)
               if save_states else None)
-    _map_blocks(lambda r: _forward_rows(
+    map_rows(lambda r: _forward_rows(
         poles, u[r], delta[r], bm[r], cm[r], y[r],
         None if states is None else states[r]),
         _row_blocks(B, N, E, u.dtype))
@@ -163,7 +173,7 @@ def scan_backward(u, delta, a, bm, cm, states, gy):
     ddelta = np.empty_like(delta)
     dbm = np.empty_like(bm)
     dcm = np.empty_like(cm)
-    parts = _map_blocks(lambda r: _backward_rows(
+    parts = map_rows(lambda r: _backward_rows(
         poles, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
         du[r], ddelta[r], dbm[r], dcm[r]),
         _row_blocks(B, N, E, u.dtype))

@@ -141,7 +141,9 @@ class TestPrep:
     def test_unknown_dataset_lists_the_choices(self, tmp_path, capsys, command):
         # a readable cache must not make an unknown name look valid
         cache = tmp_path / "c.json"
-        save_dataset_cache(synthetic_successor_dataset(10, 4, 5)[0], str(cache))
+        save_dataset_cache(synthetic_successor_dataset(10, 4, 5)[0], str(cache),
+                           {"dataset": "nonsense", "kcore": 5,
+                            "filter_mode": "iterative"})
         code, out, err = run([command, "--dataset", "nonsense", "--cache",
                               str(cache)] + TINY_MODEL + TINY_TRAIN, capsys)
         assert code == 1
@@ -189,9 +191,29 @@ class TestPrep:
         assert cache.exists()
         # training reads the cache without touching the raw path
         code, out, _ = run(["train", "--dataset", "movielens", "--cache",
-                            str(cache), "--path", "/gone.dat", "--k", "2"]
-                           + TINY_MODEL + TINY_TRAIN, capsys)
+                            str(cache), "--path", "/gone.dat", "--kcore", "1",
+                            "--k", "2"] + TINY_MODEL + TINY_TRAIN, capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [("--kcore", "2"),
+                                             ("--filter_mode", "one-pass"),
+                                             ("--dataset", "amazon")])
+    def test_cache_built_with_other_settings_is_rejected(self, tmp_path, capsys,
+                                                         flag, value):
+        raw = tmp_path / "ratings.dat"
+        raw.write_text("\n".join(f"7::{i}::4::{i}" for i in range(1, 5)) + "\n")
+        cache = tmp_path / "processed.json"
+        assert run(["prep", "--dataset", "movielens", "--path", str(raw),
+                    "--kcore", "1", "--cache", str(cache)], capsys)[0] == 0
+        argv = {"--dataset": "movielens", "--path": str(raw), "--kcore": "1",
+                "--cache": str(cache), flag: value}
+        code, out, err = run(["train", *(x for kv in argv.items() for x in kv)]
+                             + TINY_MODEL + TINY_TRAIN, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {cache}: built with {flag[2:]} ")
+        assert err.endswith("re-run prep to rebuild it\n")
+        assert err.count("\n") == 1
 
 
 class TestTrainEvalCli:

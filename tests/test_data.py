@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from mlsa4rec.data import (Dataset, InteractionRecord, ParseError, build_split,
+from mlsa4rec.data import (CACHE_VERSION, Dataset, InteractionRecord,
+                           ParseError, build_split,
                            dataset_stats, kcore_filter, load_dataset_cache,
                            pad_truncate, parse_amazon, parse_movielens,
                            save_dataset_cache, split_dataset,
@@ -191,9 +192,11 @@ class TestPadTruncate:
             pad_truncate([1], 0)
 
 
+# the settings a cache is built and loaded with in these tests
+SETTINGS = {"dataset": "movielens", "kcore": 5, "filter_mode": "iterative"}
 # a valid save_dataset_cache file's content, for the malformed-cache cases
-GOOD_CACHE = {"version": 1, "user_ids": ["u0"], "item_ids": ["", "a", "b", "c"],
-              "sequences": [[1, 2, 3]]}
+GOOD_CACHE = {"version": 2, **SETTINGS, "user_ids": ["u0"],
+              "item_ids": ["", "a", "b", "c"], "sequences": [[1, 2, 3]]}
 
 
 class TestCache:
@@ -201,8 +204,11 @@ class TestCache:
         ds, split = build_split([rec("u", i, t) for t, i in enumerate("abc")]
                                 + [rec("v", i, t) for t, i in enumerate("cba")])
         path = str(tmp_path / "cache.json")
-        save_dataset_cache(ds, path)
-        back, back_split = load_dataset_cache(path)
+        save_dataset_cache(ds, path, SETTINGS)
+        with open(path, encoding="utf-8") as fh:
+            assert {k: v for k, v in json.load(fh).items()
+                    if k in SETTINGS} == SETTINGS
+        back, back_split = load_dataset_cache(path, SETTINGS)
         assert back == ds
         assert back_split == split
 
@@ -211,7 +217,36 @@ class TestCache:
         path.write_text('{"version": 999, "user_ids": [], "item_ids": [""], '
                         '"sequences": []}')
         with pytest.raises(ValueError, match="version"):
-            load_dataset_cache(str(path))
+            load_dataset_cache(str(path), SETTINGS)
+
+    def test_version_1_says_to_rerun_prep(self, tmp_path):
+        assert CACHE_VERSION == 2
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({**GOOD_CACHE, "version": 1}))
+        with pytest.raises(ValueError) as info:
+            load_dataset_cache(str(path), SETTINGS)
+        assert str(info.value) == (f"{path}: cache version 1, not 2; "
+                                   "re-run prep to rebuild it")
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("dataset", "amazon", "dataset 'movielens', not 'amazon'"),
+        ("kcore", 12, "kcore 5, not 12"),
+        ("filter_mode", "one-pass", "filter_mode 'iterative', not 'one-pass'"),
+    ], ids=["dataset", "kcore", "filter_mode"])
+    def test_rejects_other_settings(self, tmp_path, key, value, shown):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(GOOD_CACHE))
+        with pytest.raises(ValueError) as info:
+            load_dataset_cache(str(path), {**SETTINGS, key: value})
+        assert str(info.value) == (f"{path}: built with {shown}; "
+                                   "re-run prep to rebuild it")
+
+    def test_names_the_first_setting_that_differs(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(GOOD_CACHE))
+        with pytest.raises(ValueError, match="with kcore 5, not 3"):
+            load_dataset_cache(str(path), {**SETTINGS, "kcore": 3,
+                                           "filter_mode": "one-pass"})
 
     @staticmethod
     def write_cache(tmp_path, sequences, user_ids=None, n_items=5):
@@ -219,33 +254,33 @@ class TestCache:
         if user_ids is None:
             user_ids = [f"u{i}" for i in range(len(sequences))]
         item_ids = [""] + [str(i) for i in range(n_items)]
-        path.write_text(json.dumps({"version": 1, "user_ids": user_ids,
+        path.write_text(json.dumps({**GOOD_CACHE, "user_ids": user_ids,
                                     "item_ids": item_ids, "sequences": sequences}))
         return str(path)
 
     def test_padding_id_in_history(self, tmp_path):
         path = self.write_cache(tmp_path, [[1, 2, 3], [2, 0, 4, 5]])
         with pytest.raises(ValueError, match=r"cache\.json: user 'u1' has item id 0"):
-            load_dataset_cache(path)
+            load_dataset_cache(path, SETTINGS)
 
     def test_item_id_past_vocab(self, tmp_path):
         path = self.write_cache(tmp_path, [[1, 2, 3], [1, 2, 6], [7, 1, 2]])
         with pytest.raises(ValueError, match=r"user 'u1' has item id 6, outside \[1, 6\)"):
-            load_dataset_cache(path)
+            load_dataset_cache(path, SETTINGS)
 
     def test_user_with_too_few_items(self, tmp_path):
         path = self.write_cache(tmp_path, [[1, 2, 3], [4], [5, 1]])
         with pytest.raises(ValueError, match="cache.json: user 'u1' has 1 items"):
-            load_dataset_cache(path)
+            load_dataset_cache(path, SETTINGS)
 
     def test_user_ids_match_sequences(self, tmp_path):
         path = self.write_cache(tmp_path, [[1, 2, 3], [2, 3, 4]], user_ids=["u0"])
         with pytest.raises(ValueError, match="1 user ids for 2 sequences"):
-            load_dataset_cache(path)
+            load_dataset_cache(path, SETTINGS)
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2, 3]", "top level is a list, not an object"),
-        ("{\"version\": 1,", "not UTF-8 JSON"),
+        ("{\"version\": 2,", "not UTF-8 JSON"),
         *[(json.dumps({k: v for k, v in GOOD_CACHE.items() if k != key}),
            f"'{key}' is missing or not a list")
           for key in ("user_ids", "item_ids", "sequences")],
@@ -263,7 +298,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
-            load_dataset_cache(str(path))
+            load_dataset_cache(str(path), SETTINGS)
         assert str(info.value).startswith(f"{path}: {message}")
 
 

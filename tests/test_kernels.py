@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlsa4rec import kernels
+from mlsa4rec import tensor as T
 from mlsa4rec.data import synthetic_successor_dataset
 from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.train_eval import Adam, build_training_examples, train_step
@@ -252,3 +254,75 @@ class TestParallelBlocks:
                 for i in range(0, 3 * batch, batch)]
         assert len(kernels._row_blocks(batch, 32, 128, np.float32)) == 8
         assert losses[2] == losses[1]
+
+
+def score_case(rows, seed=9):
+    """A small model and [rows, 12] ids whose rows hold 1 to 12 real items,
+    so row groups trim different numbers of padding columns."""
+    model = MlsaModel(ModelConfig(vocab_size=30, max_len=12, d_model=8,
+                                  d_state=4, n_interests=2, n_heads=2,
+                                  n_layers=1), seed=seed)
+    rng = np.random.default_rng(seed)
+    ids = np.zeros((rows, 12), dtype=np.int64)
+    for r, n in enumerate(rng.integers(1, 13, size=rows)):
+        ids[r, 12 - n:] = rng.integers(1, 30, size=n)
+    return model, ids
+
+
+def forward_maps(spy_pool, model, ids):
+    """Pool maps made by one no-grad forward over ids."""
+    before = spy_pool.maps
+    with T.no_grad():
+        model.forward(ids)
+    return spy_pool.maps - before
+
+
+class TestParallelScore:
+    def test_groups_agree_across_workers_and_with_one_forward(self, monkeypatch):
+        monkeypatch.setattr("mlsa4rec.model.SCORE_ROWS", 3)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)    # a scan block per row
+        model, ids = score_case(8)                       # groups of 3, 3, 2
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            runs[workers] = model.score(ids)
+        np.testing.assert_array_equal(runs[2], runs[1])
+        with T.no_grad():
+            whole = model.forward(ids)[0].data
+        np.testing.assert_allclose(runs[1], whole, rtol=1e-5, atol=1e-6)
+
+    def test_groups_with_several_scan_blocks_finish(self, monkeypatch):
+        # each group's scan maps 2 row blocks from a pool thread; waiting on
+        # the pool there would leave both workers blocked for good
+        monkeypatch.setattr("mlsa4rec.model.SCORE_ROWS", 2)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        model, ids = score_case(4)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(model.score(ids)),
+                                  daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive(), "score deadlocked on the kernels pool"
+        assert out[0].shape == (4, 30)
+
+    def test_small_batch_makes_no_map_of_its_own(self, monkeypatch, spy_pool):
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        model, ids = score_case(4)
+        scan_maps = forward_maps(spy_pool, model, ids)
+        assert scan_maps > 0
+        before = spy_pool.maps
+        model.score(ids)
+        assert spy_pool.maps - before == scan_maps
+
+    def test_large_batch_makes_one_map_of_groups(self, monkeypatch, spy_pool):
+        monkeypatch.setattr("mlsa4rec.model.SCORE_ROWS", 2)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        model, ids = score_case(5)                       # groups of 2, 2, 1
+        scan_maps = sum(forward_maps(spy_pool, model, ids[r])
+                        for r in (slice(0, 2), slice(2, 4), slice(4, 5)))
+        before = spy_pool.maps
+        model.score(ids)
+        assert spy_pool.maps - before == 1 + scan_maps

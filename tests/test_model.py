@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from mlsa4rec import model as model_module
 from mlsa4rec import tensor as T
 from mlsa4rec.model import MlsaModel, ModelConfig, VARIANTS
 from mlsa4rec.tensor import load_checkpoint, save_checkpoint
@@ -379,6 +380,31 @@ class TestPaddingAndDropout:
         assert inter["embeddings"].shape[1] == 1
         assert logits.shape == (3, 20)
         assert np.all(np.isfinite(logits.data))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_full_batch_drops_the_mask(self, variant, monkeypatch):
+        # no padding after the trim: the layers get keep=None, and an
+        # all-true mask in its place changes no bit of logits or gradients
+        ids = np.array([[0, 3, 4, 5, 6], [0, 1, 2, 18, 9], [0, 7, 7, 8, 2]])
+
+        def run():
+            model = MlsaModel(small_config(variant=variant, n_layers=2), seed=31)
+            logits, _ = model.forward(ids)
+            T.cross_entropy(logits, np.array([1, 2, 3])).backward()
+            return [logits.data] + [t.grad for t in model.params.entries.values()]
+
+        def all_true(fn):
+            def wrapper(x, p, keep=None):
+                assert keep is None
+                return fn(x, p, np.ones(x.shape[:-1] + (1,), dtype=bool))
+            return wrapper
+
+        bare = run()
+        for name in ("mamba_block", "lsa_attention", "vanilla_attention"):
+            monkeypatch.setattr(model_module, name,
+                                all_true(getattr(model_module, name)))
+        for got, want in zip(run(), bare, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_leading_zeros_score_as_trimmed(self):
         model = MlsaModel(small_config(), seed=23)
