@@ -156,13 +156,8 @@ def build_split(records: list[InteractionRecord]) -> tuple[Dataset, Split]:
                 "run k-core filtering first")
         sequences.append([i for _, i in events])
 
-    user_ids = [None] * len(user_index)
-    for uid, idx in user_index.items():
-        user_ids[idx] = uid
-    item_ids = [""] + [None] * len(item_index)
-    for iid, idx in item_index.items():
-        item_ids[idx] = iid
-    ds = Dataset(sequences, user_ids, item_ids)
+    # indices follow first appearance, and so does a dict's order
+    ds = Dataset(sequences, list(user_index), [""] + list(item_index))
     return ds, split_dataset(ds)
 
 

@@ -264,14 +264,12 @@ class MlsaModel:
         A batch of more than SCORE_ROWS rows is cut into the fewest
         near-equal row groups of at most SCORE_ROWS rows, and the groups'
         forwards run on the kernels pool; no row reads another, so the
-        scores are those of one forward over the whole batch.  Smaller
-        batches run one forward: split, their numpy calls are too small
-        to pay for handing the interpreter lock back and forth.
+        scores are those of one forward over the whole batch.  A smaller
+        batch, or one sequence, is one group, run inline: split, its numpy
+        calls are too small to pay for handing the interpreter lock over.
         """
         ids = np.asarray(ids, dtype=np.int64)
         groups = -(-len(ids) // SCORE_ROWS) if ids.ndim == 2 else 1
         with T.no_grad():
-            if groups <= 1:
-                return self.forward(ids)[0].data
             return np.concatenate(kernels.map_rows(
                 lambda g: self.forward(g)[0].data, np.array_split(ids, groups)))

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erfc, expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -27,8 +27,9 @@ LAYERNORM_EPS = 1e-12
 # central-difference step of grad_check, sized for float64 parameters
 GRAD_CHECK_EPS = 1e-4
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a numpy float64 scalar would promote a float32 array
+_INV_SQRT2 = 2.0 ** -0.5
+_INV_SQRT_2PI = (2.0 * np.pi) ** -0.5
 
 
 class ShapeError(ValueError):
@@ -375,14 +376,15 @@ def silu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact Gaussian-CDF form: x * Phi(x), with Phi(x) = erfc(-x/sqrt2)/2,
+    which unlike 1 + erf(x/sqrt2) does not cancel in float32 for x < 0."""
+    phi_cdf = 0.5 * erfc(x.data * -_INV_SQRT2)
     out = x.data * phi_cdf
 
     def bwd(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         return (g * (phi_cdf + x.data * pdf),)
-    return make_op(out.astype(x.data.dtype, copy=False), (x,), bwd, "gelu")
+    return make_op(out, (x,), bwd, "gelu")
 
 
 def softplus_(x: np.ndarray) -> np.ndarray:

@@ -142,7 +142,7 @@ def evaluate(model, split: Split, phase: str = "valid", k: int = 10,
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
         ids = np.stack([pad_truncate(h, max_len) for h in histories[chunk]])
-        scores = np.array(model.score(ids), dtype=np.float64, copy=True)
+        scores = np.array(model.score(ids), copy=True)
         for row, (hist, tgt) in enumerate(zip(histories[chunk], targets[chunk])):
             s = scores[row]
             if mask_history:

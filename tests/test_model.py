@@ -436,6 +436,52 @@ class TestPaddingAndDropout:
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def tape_nodes(root):
+    """Every node on root's tape, root and leaves included."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_step_keeps_the_model_dtype(self, variant, float64):
+        # every array a training step computes, forward and backward, has
+        # the parameters' dtype: nothing promotes float32 to float64
+        model = MlsaModel(small_config(variant=variant, n_layers=2, dropout=0.1),
+                          seed=25)
+        if float64:
+            model.cast_float64()
+        dtype = model.params.dtype
+        loss = T.cross_entropy(model.forward(MIXED, training=True)[0],
+                               np.array([1, 2, 3]))
+        wrong, grads = [], []
+
+        def checked(backward, op):
+            def run(g):
+                out = backward(g)
+                grads.extend(pg for pg in out if pg is not None)
+                wrong.extend((op, pg.dtype) for pg in out
+                             if pg is not None and pg.dtype != dtype)
+                return out
+            return run
+
+        for node in tape_nodes(loss):
+            if node.data.dtype != dtype:
+                wrong.append((node._op, node.data.dtype))
+            if node._backward is not None:
+                node._backward = checked(node._backward, node._op)
+        loss.backward()
+        assert grads
+        assert wrong == []
+
+
 class TestStoreManagement:
     def test_cast_float64_preserves_function(self):
         model = MlsaModel(small_config(), seed=19)

@@ -186,6 +186,14 @@ class TestElementwise:
         x = np.linspace(-3, 3, 13)
         expect = x * 0.5 * (1 + erf(x / np.sqrt(2)))
         np.testing.assert_allclose(T.gelu(Tensor(x)).data, expect, rtol=1e-6)
+        # float32 in, float32 out and back, to the same tolerance
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
+        expect_grad = 0.5 * (1 + erf(x / np.sqrt(2))) + x * pdf
+        out = T.gelu(Tensor(x.astype(np.float32), requires_grad=True))
+        (grad,) = out._backward(np.ones_like(out.data))
+        assert out.data.dtype == np.float32 and grad.dtype == np.float32
+        np.testing.assert_allclose(out.data, expect, rtol=1e-6)
+        np.testing.assert_allclose(grad, expect_grad, rtol=1e-6)
 
 
 class TestLayernorm:
