@@ -5,32 +5,40 @@ Shapes (C-contiguous float32 or float64):
     a        : [E, N]         diagonal state matrix (negative entries)
     bm, cm   : [B, L, N]      input-dependent state-in / state-out maps
     y        : [B, L, E]      scan output
-    states   : [B, K, N, E]   checkpoints for backward, K = ceil(L / C)
-                              with C = _CHUNK_STEPS:
-                              states[:, k] is the state entering steps
-                              k*C .. k*C + C - 1, zero for k = 0 (state
-                              index before channel: the per-step
-                              broadcasts then run along the contiguous E)
+    states   : [B, K, N, E]   checkpoints for backward, K = ceil(L / C),
+                              C = _CHUNK_STEPS: states[:, k] is the state
+                              entering steps k*C .. k*C + C - 1, 0 at k = 0
 
-The recurrence per (b, e, n), with the zero-order-hold coefficient
-c = expm1(delta * a) / a (limit delta as a -> 0) and abar = 1 + a * c,
-which is exp(delta * a):
-    h_t = abar * h_{t-1} + c * bm * u
+The recurrence per (b, n, e) holds the input over each step (zero-order
+hold).  With e = expm1(delta * a), abar = exp(delta * a) = 1 + e and
+c = e / a:
+    h_t = abar * h_{t-1} + c * bm * u = h_{t-1} + e * (h_{t-1} + bm * u / a)
     y_t = sum_n cm * h_t
-
-The backward needs only h_t and c.  Substituting abar * h_{t-1} =
-h_t - c*bm*u into the derivatives of the step gives
+so a step is seven passes: delta*a, expm1, u/a, *bm, +h, *e and h +=.
+The backward needs only h_t and e: one product g*e, g = dL/dh_t, gives
+g * c = (g * e) / a and g * abar = g + g * e, and substituting
+abar * h_{t-1} = h_t - c*bm*u into the derivatives of the step gives
     dh_t/ddelta = a * h_t + bm * u
     dh_t/da     = delta * h_t + bm * u * (delta - c) / a
-with (delta - c) / a -> -delta**2 / 2 as a -> 0.  The 1/a of the second
-identity is applied once per call, to the sum over steps.
+whose 1/a is applied once per call, to the sum over steps.  The one
+branch, _Poles.limit, is the small-pole limit: where |a| < _SMALL_A,
+c = delta and (delta - c) / a = -delta**2 / 2 overwrite what the
+formulas leave there (u / a is inf or nan at a = 0).
+
+A row block's state is [N, rows, E]: a is tiled once per call to
+[N, rows, E] and each step's delta and u are contiguous [rows, E], so
+delta*a, u/a, (g*e)/a and g*delta each run one inner loop of rows*E.
+As [rows, N, E], those broadcasts ran rows*N loops of E = 128, and
+delta*a cost about 3 times a same-shape product.  Only the outer
+products with bm and cm keep E-long loops; the y matmul and the per-step
+reductions read the [rows, N, E] transposed view.
 
 Keeping every h_t would cost [B, L, N, E], N times the input.  So the
 forward keeps one state per chunk of C steps, and the backward walks the
-chunks last to first, rebuilding each chunk's h_t and c from its
-checkpoint with the forward's own operations in the forward's order: the
-rebuilt states are bitwise the ones the forward produced (the recompute
-of Gu & Dao's hardware-aware scan, arXiv:2312.00752).
+chunks last to first, rebuilding each chunk's h_t and e from its
+checkpoint with the forward's own step: the rebuilt states are bitwise
+the ones the forward produced (the recompute of Gu & Dao's
+hardware-aware scan, arXiv:2312.00752).
 
 Rows are independent, so the batch is cut into blocks of rows (see
 _row_blocks) and the blocks run on a pool of _WORKERS threads, one per
@@ -61,12 +69,11 @@ import numpy as np
 _SMALL_A = 1e-8
 _BLOCK_BYTES = 1 << 18
 # Steps per saved state.  Saved states shrink as 1/C while the backward's
-# two [C, rows, N, E] recompute buffers grow as C.  On a train-desk step
-# (B 128, L 17, N 32, E 128), C = 8 peaked 11 MB below C = 4 at the same
-# scan time; C = 16 saved 2 MB more but ran the scan about 3 % slower.
+# recompute buffers hs and es, [C, N, rows, E], grow as C.  On a train-desk
+# step (B 128, L 17, N 32, E 128), C = 8 peaked 11 MB below C = 4 at the
+# same scan time; C = 16 saved 2 MB more but ran the scan about 3 % slower.
 _CHUNK_STEPS = 8
-# Threads that run row blocks and score groups: the CPUs this process may
-# run on.
+# Threads for row blocks and score groups: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0))
 # Starts no thread until its first map; map_rows knows its threads by name.
 _POOL_NAME = "mlsa4rec-pool"
@@ -79,28 +86,28 @@ def get_backend() -> str:
 
 
 class _Poles:
-    """a transposed to [N, E], with the |a| < _SMALL_A entries found once."""
+    """a for one call: [N, E] tiled to [N, rows, E] for the call's row
+    blocks, with the |a| < _SMALL_A entries found once."""
 
-    def __init__(self, a):
-        self.at = np.ascontiguousarray(a.T)
-        self.small = np.abs(self.at) < _SMALL_A
+    def __init__(self, a, B):
+        at = a.T
+        self.blocks = _row_blocks(B, *at.shape, a.dtype)
+        rows = min(B, self.blocks[0].stop)
+        self.tile = np.repeat(at[:, None], rows, axis=1)   # contiguous
+        self.small = (np.abs(at) < _SMALL_A)[:, None]     # [N, 1, E]
         self.any_small = bool(self.small.any())
-        self.safe = np.where(self.small, 1, self.at)
+        self.safe = np.where(self.small[:, 0], 1, at)
 
-    def coef(self, dt, out):
-        """out = expm1(dt * a) / a, or dt where |a| is small; dt is [B,1,E]."""
-        np.multiply(dt, self.at, out=out)
-        np.expm1(out, out=out)
-        out /= self.safe
+    def limit(self, out, value):
+        """out = value() where |a| < _SMALL_A: a formula's small-pole limit."""
         if self.any_small:
-            np.copyto(out, dt, where=self.small)
-        return out
+            np.copyto(out, value(), where=self.small)
 
 
 def _row_blocks(B, N, E, dtype):
     """Slices of the batch axis that the scan runs as separate blocks.
 
-    Rows are independent, so the scan runs block by block with [rows,N,E]
+    Rows are independent, so the scan runs block by block with [N,rows,E]
     buffers of about 256 KiB: the four or five a step touches then stay
     in a core's L2 cache instead of streaming from memory at every step.
     """
@@ -122,65 +129,69 @@ def scan_forward(u, delta, a, bm, cm, save_states: bool):
     """Run the scan; returns (y, states), states None unless save_states,
     else the [B, ceil(L/C), N, E] checkpoints that scan_backward reads."""
     B, L, E = u.shape
-    N = a.shape[1]
-    poles = _Poles(a)
+    poles = _Poles(a, B)
     y = np.empty((B, L, E), dtype=u.dtype)
-    states = (np.empty((B, -(-L // _CHUNK_STEPS), N, E), dtype=u.dtype)
-              if save_states else None)
+    states = (np.empty((B, -(-L // _CHUNK_STEPS), a.shape[1], E),
+                       dtype=u.dtype) if save_states else None)
     map_rows(lambda r: _forward_rows(
         poles, u[r], delta[r], bm[r], cm[r], y[r],
-        None if states is None else states[r]),
-        _row_blocks(B, N, E, u.dtype))
+        None if states is None else states[r]), poles.blocks)
     return y, states
 
 
-def _step(poles, dt, bt, ut, h, h_next, c, abar, inp):
-    """One step, h_next = abar * h + c * bm * u.  c keeps the coefficient
-    unless inp is c; h_next may be h.  dt and ut are [B,1,E], bt [B,N,1].
-    The forward and the backward's recompute both run this, so their
-    states agree bitwise."""
-    poles.coef(dt, c)
-    np.multiply(poles.at, c, out=abar)
-    abar += 1.0
-    np.multiply(c, bt, out=inp)
-    inp *= ut
-    np.multiply(h, abar, out=h_next)
-    h_next += inp
+def _chunk(k, delta, u):
+    """Steps of chunk k, with their delta and u as contiguous [steps, B, E],
+    so that a step's [B, E] runs as one loop."""
+    s = slice(k * _CHUNK_STEPS, (k + 1) * _CHUNK_STEPS)
+    return (range(u.shape[1])[s],
+            np.ascontiguousarray(delta[:, s].transpose(1, 0, 2)),
+            np.ascontiguousarray(u[:, s].transpose(1, 0, 2)))
+
+
+def _step(poles, tile, dt, ut, bt, h, h_next, e, w):
+    """One step, h_next = h + e * (h + bm * u / a) with e = expm1(dt * a)
+    kept in e; w is scratch and h_next may be h.  h is [N,B,E], dt and ut
+    [B,E] and bt [N,B,1].  The forward and the backward's recompute both
+    run this, so their states agree bitwise."""
+    np.multiply(dt, tile, out=e)
+    np.expm1(e, out=e)
+    np.divide(ut, tile, out=w)
+    w *= bt
+    w += h
+    w *= e
+    poles.limit(w, lambda: e * h + bt * (dt * ut))  # c = dt: e*h + c*bm*u
+    np.add(h, w, out=h_next)
 
 
 def _forward_rows(poles, u, delta, bm, cm, y, states):
     # Per-step work runs in place on buffers allocated once: fresh
     # temporaries cost more than the arithmetic itself.  A checkpoint is
-    # copied out as each chunk begins.
-    B, L = u.shape[:2]
-    h = np.zeros((B,) + poles.at.shape, dtype=u.dtype)
-    c, abar = np.empty_like(h), np.empty_like(h)
-    for t in range(L):
-        if states is not None and t % _CHUNK_STEPS == 0:
-            states[:, t // _CHUNK_STEPS] = h
-        _step(poles, delta[:, t, None, :], bm[:, t, :, None],
-              u[:, t, None, :], h, h, c, abar, c)
-        np.matmul(cm[:, t, None, :], h, out=y[:, t, None, :])
+    # copied out, and the chunk's delta and u in, as each chunk begins.
+    B, L, E = u.shape
+    tile = poles.tile[:, :B]
+    h = np.zeros(tile.shape, dtype=u.dtype)
+    e, w = np.empty_like(h), np.empty_like(h)
+    with np.errstate(divide="ignore", invalid="ignore"):   # u / a at a = 0
+        for k in range(-(-L // _CHUNK_STEPS)):
+            if states is not None:
+                states[:, k] = h.transpose(1, 0, 2)
+            steps, dts, uts = _chunk(k, delta, u)
+            for j, t in enumerate(steps):
+                _step(poles, tile, dts[j], uts[j], bm[:, t].T[:, :, None],
+                      h, h, e, w)
+                np.matmul(cm[:, t, None, :], h.transpose(1, 0, 2),
+                          out=y[:, t, None, :])
 
 
 def scan_backward(u, delta, a, bm, cm, states, gy):
     """Gradients (du, ddelta, da, dbm, dcm) of sum(y * gy) from the
     checkpoints of scan_forward; each chunk's states are rebuilt here."""
-    B, L, E = u.shape
-    N = a.shape[1]
-    poles = _Poles(a)
-    du = np.empty_like(u)
-    ddelta = np.empty_like(delta)
-    dbm = np.empty_like(bm)
-    dcm = np.empty_like(cm)
+    poles = _Poles(a, len(u))
+    du, ddelta, dbm, dcm = map(np.empty_like, (u, delta, bm, cm))
     parts = map_rows(lambda r: _backward_rows(
         poles, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
-        du[r], ddelta[r], dbm[r], dcm[r]),
-        _row_blocks(B, N, E, u.dtype))
-    da_h, da_q = parts[0]
-    for h, q in parts[1:]:
-        da_h += h
-        da_q += q
+        du[r], ddelta[r], dbm[r], dcm[r]), poles.blocks)
+    da_h, da_q = (sum(part) for part in zip(*parts))   # in block order
     da = da_h + da_q[:, 0] / poles.safe
     return du, ddelta, np.ascontiguousarray(da.T), dbm, dcm
 
@@ -189,43 +200,43 @@ def _backward_rows(poles, u, delta, bm, cm, states, gy,
                    du, ddelta, dbm, dcm):
     """Fill these rows' du, ddelta, dbm and dcm; return their (da_h, da_q)."""
     B, L, E = u.shape
-    at = poles.at
-    da_h = np.zeros(at.shape, dtype=u.dtype)      # sum of g * delta * h_t
-    da_q = np.zeros((len(at), 1, E), dtype=u.dtype)  # sum of g*bm*u*(delta-c)
+    tile = poles.tile[:, :B]
+    da_h = np.zeros(poles.safe.shape, dtype=u.dtype)  # sum of g*delta*h_t
+    da_q = np.zeros((len(tile), 1, E), dtype=u.dtype)  # of g*bm*u*(delta-c)
     bm_t = np.ascontiguousarray(bm.transpose(1, 2, 0))[:, :, None, :]  # [L,N,1,B]
     q_t = np.empty_like(da_q)
     sgb = np.empty((B, 1, E), dtype=u.dtype)      # sum_n bm * g
-    g = np.zeros((B,) + at.shape, dtype=u.dtype)  # dL/dh_t
-    gc, tmp = np.empty_like(g), np.empty_like(g)
+    g = np.zeros(tile.shape, dtype=u.dtype)       # dL/dh_t
+    ge, gc, tmp = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+    g_rows, gc_rows = g.transpose(1, 0, 2), gc.transpose(1, 0, 2)  # [B,N,E]
     hs = np.empty((_CHUNK_STEPS,) + g.shape, dtype=u.dtype)  # one chunk's h_t
-    cs = np.empty_like(hs)                                   # and its c
-    for k in range(states.shape[1] - 1, -1, -1):
-        steps = range(k * _CHUNK_STEPS, min((k + 1) * _CHUNK_STEPS, L))
-        h = states[:, k]
-        for j, t in enumerate(steps):             # gc, tmp as scratch
-            _step(poles, delta[:, t, None, :], bm[:, t, :, None],
-                  u[:, t, None, :], h, hs[j], cs[j], gc, tmp)
-            h = hs[j]
-        for j in range(len(steps) - 1, -1, -1):
-            t = steps[j]
-            h_t, c = hs[j], cs[j]
-            dt = delta[:, t, None, :]             # [B,1,E]
-            ut = u[:, t, None, :]
-            np.matmul(h_t, gy[:, t, :, None], out=dcm[:, t, :, None])
-            g += np.multiply(cm[:, t, :, None], gy[:, t, None, :], out=tmp)
-            np.multiply(g, c, out=gc)
-            np.matmul(bm[:, t, None, :], gc, out=du[:, t, None, :])
-            np.matmul(gc, u[:, t, :, None], out=dbm[:, t, :, None])
-            np.matmul(bm[:, t, None, :], g, out=sgb)
-            np.multiply(g, h_t, out=tmp)
-            np.einsum("bne,ne->be", tmp, at, out=ddelta[:, t])
-            ddelta[:, t] += sgb[:, 0] * u[:, t]
-            da_h += np.einsum("be,bne->ne", delta[:, t], tmp)
-            np.subtract(dt, c, out=tmp)
-            if poles.any_small:
-                np.copyto(tmp, -0.5 * dt * dt, where=poles.small)
-            tmp *= g
-            tmp *= ut
-            da_q += np.matmul(bm_t[t], tmp.transpose(1, 0, 2), out=q_t)
-            g += np.multiply(gc, at, out=tmp)     # g * abar = g + a * g * c
+    es = np.empty_like(hs)                                   # and its e
+    with np.errstate(divide="ignore", invalid="ignore"):   # u / a at a = 0
+        for k in range(states.shape[1] - 1, -1, -1):
+            steps, dts, uts = _chunk(k, delta, u)
+            h = states[:, k].transpose(1, 0, 2)
+            for j, t in enumerate(steps):         # tmp as scratch
+                _step(poles, tile, dts[j], uts[j], bm[:, t].T[:, :, None],
+                      h, hs[j], es[j], tmp)
+                h = hs[j]
+            for t, h_t, e_t, dt, ut in [*zip(steps, hs, es, dts, uts)][::-1]:
+                np.matmul(h_t.transpose(1, 0, 2), gy[:, t, :, None],
+                          out=dcm[:, t, :, None])
+                g += np.multiply(cm[:, t].T[:, :, None], gy[:, t], out=tmp)
+                np.multiply(g, e_t, out=ge)
+                np.divide(ge, tile, out=gc)       # g * c
+                poles.limit(gc, lambda: g * dt)
+                np.matmul(bm[:, t, None, :], gc_rows, out=du[:, t, None, :])
+                np.matmul(gc_rows, u[:, t, :, None], out=dbm[:, t, :, None])
+                np.matmul(bm[:, t, None, :], g_rows, out=sgb)
+                np.multiply(g, h_t, out=tmp)
+                np.einsum("nbe,nbe->be", tmp, tile, out=ddelta[:, t])
+                ddelta[:, t] += sgb[:, 0] * ut
+                da_h += np.einsum("be,nbe->ne", dt, tmp)
+                np.multiply(g, dt, out=tmp)
+                tmp -= gc                         # g * (delta - c)
+                poles.limit(tmp, lambda: g * (-0.5 * dt * dt))
+                tmp *= ut
+                da_q += np.matmul(bm_t[t], tmp, out=q_t)
+                g += ge                           # g * abar = g + g * e
     return da_h, da_q

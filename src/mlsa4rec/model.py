@@ -267,8 +267,11 @@ class MlsaModel:
         scores are those of one forward over the whole batch.  A smaller
         batch, or one sequence, is one group, run inline: split, its numpy
         calls are too small to pay for handing the interpreter lock over.
+        A batch of no rows gets [0, vocab] scores.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim == 2 and len(ids) == 0:
+            return np.empty((0, self.config.vocab_size), dtype=self.params.dtype)
         groups = -(-len(ids) // SCORE_ROWS) if ids.ndim == 2 else 1
         with T.no_grad():
             return np.concatenate(kernels.map_rows(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,21 @@ class TestScan:
         np.testing.assert_allclose(y, loop_scan(u, delta, a, bm, cm),
                                    rtol=1e-10, atol=1e-12)
 
+    def test_zero_pole_is_finite_and_silent(self):
+        # u / a is inf or nan where a = 0; the small-pole branch replaces
+        # those entries, and numpy is not asked to warn about them
+        rng = np.random.default_rng(11)
+        args = list(random_instance(rng))
+        args[2][0, 0] = 0.0
+        gy = rng.standard_normal(args[0].shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, h = kernels.scan_forward(*args, True)
+            grads = kernels.scan_backward(*args, h, gy)
+        np.testing.assert_allclose(y, loop_scan(*args), rtol=1e-10, atol=1e-12)
+        for g in grads:
+            assert np.isfinite(g).all()
+
     def test_backward_matches_central_differences(self):
         rng = np.random.default_rng(1)
         args = list(random_instance(rng, batch=2, seq=7))
@@ -154,6 +170,30 @@ class TestScan:
         scale = np.abs(da64).max()
         np.testing.assert_allclose(da32, da64, rtol=0,
                                    atol=8 * np.finfo(np.float32).eps * scale)
+
+    def test_float32_tracks_float64_at_model_width(self):
+        # the desk model's scan width (E 128, N 32) over 40 steps, with the
+        # poles and timescales it trains into; y and every gradient in
+        # float32 within 8 eps of that array's scale
+        rng = np.random.default_rng(10)
+        B, L, E, N = 4, 40, 128, 32
+        u = rng.standard_normal((B, L, E))
+        delta = rng.uniform(0.001, 0.5, (B, L, E))
+        a = -np.exp(rng.uniform(np.log(0.5), np.log(32.0), (E, N)))
+        bm = rng.standard_normal((B, L, N))
+        cm = rng.standard_normal((B, L, N))
+        gy = rng.standard_normal((B, L, E))
+        runs = []
+        for dtype in (np.float64, np.float32):
+            args = [x.astype(dtype) for x in (u, delta, a, bm, cm)]
+            y, h = kernels.scan_forward(*args, True)
+            runs.append((y,) + kernels.scan_backward(*args, h, gy.astype(dtype)))
+        eps = np.finfo(np.float32).eps
+        for name, x64, x32 in zip(("y", "u", "delta", "a", "bm", "cm"), *runs):
+            assert x32.dtype == np.float32
+            np.testing.assert_allclose(x32, x64, rtol=0,
+                                       atol=8 * eps * np.abs(x64).max(),
+                                       err_msg=name)
 
     def test_chunk_length_leaves_results_unchanged(self, monkeypatch):
         # L = 3C + 1: full chunks and a one-step tail, under every length

@@ -215,6 +215,14 @@ class TestPrediction:
                                    model.score(ids[None])[0],
                                    rtol=1e-6, atol=1e-7)
 
+    def test_empty_batch_scores_no_rows(self):
+        model = MlsaModel(small_config(), seed=10)
+        empty = np.zeros((0, 8), dtype=np.int64)
+        out = model.score(empty)
+        assert out.shape == (0, 20) and out.dtype == np.float32
+        model.cast_float64()
+        assert model.score(empty).dtype == np.float64
+
     def test_deterministic_across_calls_and_seeds(self):
         ids = np.array([1, 2, 3])
         a = MlsaModel(small_config(), seed=11).score(ids)
