@@ -20,10 +20,11 @@ g * c = (g * e) / a and g * abar = g + g * e, and substituting
 abar * h_{t-1} = h_t - c*bm*u into the derivatives of the step gives
     dh_t/ddelta = a * h_t + bm * u
     dh_t/da     = delta * h_t + bm * u * (delta - c) / a
-whose 1/a is applied once per call, to the sum over steps.  The one
-branch, _Poles.limit, is the small-pole limit: where |a| < _SMALL_A,
-c = delta and (delta - c) / a = -delta**2 / 2 overwrite what the
-formulas leave there (u / a is inf or nan at a = 0).
+whose 1/a is applied once per call, to the sum over steps.  Every pole
+must be negative, as mamba._scan_op forms them: a = -exp(a_log).  Each
+chunk of the reverse walk first zeroes g below _FLUSH, so that g, which
+only decays where the loss reads the last steps alone, never runs through
+slow subnormal floats; gradient entries that small depend on the chunk length.
 
 A row block's state is [N, rows, E]: a is tiled once per call to
 [N, rows, E] and each step's delta and u are contiguous [rows, E], so
@@ -66,13 +67,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_SMALL_A = 1e-8
 _BLOCK_BYTES = 1 << 18
 # Steps per saved state.  Saved states shrink as 1/C while the backward's
 # recompute buffers hs and es, [C, N, rows, E], grow as C.  On a train-desk
 # step (B 128, L 17, N 32, E 128), C = 8 peaked 11 MB below C = 4 at the
 # same scan time; C = 16 saved 2 MB more but ran the scan about 3 % slower.
 _CHUNK_STEPS = 8
+# Adam steps by m / (sqrt(v) + 1e-8): a gradient near 1e-30 moves no parameter.
+_FLUSH = 1e-30
 # Threads for row blocks and score groups: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0))
 # Starts no thread until its first map; map_rows knows its threads by name.
@@ -85,23 +87,11 @@ def get_backend() -> str:
     return "numpy"
 
 
-class _Poles:
-    """a for one call: [N, E] tiled to [N, rows, E] for the call's row
-    blocks, with the |a| < _SMALL_A entries found once."""
-
-    def __init__(self, a, B):
-        at = a.T
-        self.blocks = _row_blocks(B, *at.shape, a.dtype)
-        rows = min(B, self.blocks[0].stop)
-        self.tile = np.repeat(at[:, None], rows, axis=1)   # contiguous
-        self.small = (np.abs(at) < _SMALL_A)[:, None]     # [N, 1, E]
-        self.any_small = bool(self.small.any())
-        self.safe = np.where(self.small[:, 0], 1, at)
-
-    def limit(self, out, value):
-        """out = value() where |a| < _SMALL_A: a formula's small-pole limit."""
-        if self.any_small:
-            np.copyto(out, value(), where=self.small)
+def _tile(a, B):
+    """The call's row blocks, and a [E, N] tiled to [N, rows, E] for them."""
+    at = a.T
+    blocks = _row_blocks(B, *at.shape, a.dtype)
+    return blocks, np.repeat(at[:, None], min(B, blocks[0].stop), axis=1)
 
 
 def _row_blocks(B, N, E, dtype):
@@ -129,13 +119,13 @@ def scan_forward(u, delta, a, bm, cm, save_states: bool):
     """Run the scan; returns (y, states), states None unless save_states,
     else the [B, ceil(L/C), N, E] checkpoints that scan_backward reads."""
     B, L, E = u.shape
-    poles = _Poles(a, B)
+    blocks, tile = _tile(a, B)
     y = np.empty((B, L, E), dtype=u.dtype)
     states = (np.empty((B, -(-L // _CHUNK_STEPS), a.shape[1], E),
                        dtype=u.dtype) if save_states else None)
     map_rows(lambda r: _forward_rows(
-        poles, u[r], delta[r], bm[r], cm[r], y[r],
-        None if states is None else states[r]), poles.blocks)
+        tile, u[r], delta[r], bm[r], cm[r], y[r],
+        None if states is None else states[r]), blocks)
     return y, states
 
 
@@ -148,7 +138,7 @@ def _chunk(k, delta, u):
             np.ascontiguousarray(u[:, s].transpose(1, 0, 2)))
 
 
-def _step(poles, tile, dt, ut, bt, h, h_next, e, w):
+def _step(tile, dt, ut, bt, h, h_next, e, w):
     """One step, h_next = h + e * (h + bm * u / a) with e = expm1(dt * a)
     kept in e; w is scratch and h_next may be h.  h is [N,B,E], dt and ut
     [B,E] and bt [N,B,1].  The forward and the backward's recompute both
@@ -159,84 +149,80 @@ def _step(poles, tile, dt, ut, bt, h, h_next, e, w):
     w *= bt
     w += h
     w *= e
-    poles.limit(w, lambda: e * h + bt * (dt * ut))  # c = dt: e*h + c*bm*u
     np.add(h, w, out=h_next)
 
 
-def _forward_rows(poles, u, delta, bm, cm, y, states):
+def _forward_rows(tile, u, delta, bm, cm, y, states):
     # Per-step work runs in place on buffers allocated once: fresh
     # temporaries cost more than the arithmetic itself.  A checkpoint is
     # copied out, and the chunk's delta and u in, as each chunk begins.
     B, L, E = u.shape
-    tile = poles.tile[:, :B]
+    tile = tile[:, :B]
     h = np.zeros(tile.shape, dtype=u.dtype)
     e, w = np.empty_like(h), np.empty_like(h)
-    with np.errstate(divide="ignore", invalid="ignore"):   # u / a at a = 0
-        for k in range(-(-L // _CHUNK_STEPS)):
-            if states is not None:
-                states[:, k] = h.transpose(1, 0, 2)
-            steps, dts, uts = _chunk(k, delta, u)
-            for j, t in enumerate(steps):
-                _step(poles, tile, dts[j], uts[j], bm[:, t].T[:, :, None],
-                      h, h, e, w)
-                np.matmul(cm[:, t, None, :], h.transpose(1, 0, 2),
-                          out=y[:, t, None, :])
+    for k in range(-(-L // _CHUNK_STEPS)):
+        if states is not None:
+            states[:, k] = h.transpose(1, 0, 2)
+        steps, dts, uts = _chunk(k, delta, u)
+        for j, t in enumerate(steps):
+            _step(tile, dts[j], uts[j], bm[:, t].T[:, :, None], h, h, e, w)
+            np.matmul(cm[:, t, None, :], h.transpose(1, 0, 2),
+                      out=y[:, t, None, :])
 
 
 def scan_backward(u, delta, a, bm, cm, states, gy):
     """Gradients (du, ddelta, da, dbm, dcm) of sum(y * gy) from the
     checkpoints of scan_forward; each chunk's states are rebuilt here."""
-    poles = _Poles(a, len(u))
+    blocks, tile = _tile(a, len(u))
     du, ddelta, dbm, dcm = map(np.empty_like, (u, delta, bm, cm))
     parts = map_rows(lambda r: _backward_rows(
-        poles, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
-        du[r], ddelta[r], dbm[r], dcm[r]), poles.blocks)
+        tile, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
+        du[r], ddelta[r], dbm[r], dcm[r]), blocks)
     da_h, da_q = (sum(part) for part in zip(*parts))   # in block order
-    da = da_h + da_q[:, 0] / poles.safe
+    da = da_h + da_q[:, 0] / tile[:, 0]
     return du, ddelta, np.ascontiguousarray(da.T), dbm, dcm
 
 
-def _backward_rows(poles, u, delta, bm, cm, states, gy,
-                   du, ddelta, dbm, dcm):
+def _backward_rows(tile, u, delta, bm, cm, states, gy, du, ddelta, dbm, dcm):
     """Fill these rows' du, ddelta, dbm and dcm; return their (da_h, da_q)."""
     B, L, E = u.shape
-    tile = poles.tile[:, :B]
-    da_h = np.zeros(poles.safe.shape, dtype=u.dtype)  # sum of g*delta*h_t
+    tile = tile[:, :B]
+    da_h = np.zeros((len(tile), E), dtype=u.dtype)     # sum of g*delta*h_t
     da_q = np.zeros((len(tile), 1, E), dtype=u.dtype)  # of g*bm*u*(delta-c)
     bm_t = np.ascontiguousarray(bm.transpose(1, 2, 0))[:, :, None, :]  # [L,N,1,B]
     q_t = np.empty_like(da_q)
     sgb = np.empty((B, 1, E), dtype=u.dtype)      # sum_n bm * g
     g = np.zeros(tile.shape, dtype=u.dtype)       # dL/dh_t
     ge, gc, tmp = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+    # |g| < _FLUSH as a mask in ge's bytes, which are free as a chunk begins
+    tiny = ge.reshape(-1).view(np.bool_)[:g.size].reshape(g.shape)
     g_rows, gc_rows = g.transpose(1, 0, 2), gc.transpose(1, 0, 2)  # [B,N,E]
     hs = np.empty((_CHUNK_STEPS,) + g.shape, dtype=u.dtype)  # one chunk's h_t
     es = np.empty_like(hs)                                   # and its e
-    with np.errstate(divide="ignore", invalid="ignore"):   # u / a at a = 0
-        for k in range(states.shape[1] - 1, -1, -1):
-            steps, dts, uts = _chunk(k, delta, u)
-            h = states[:, k].transpose(1, 0, 2)
-            for j, t in enumerate(steps):         # tmp as scratch
-                _step(poles, tile, dts[j], uts[j], bm[:, t].T[:, :, None],
-                      h, hs[j], es[j], tmp)
-                h = hs[j]
-            for t, h_t, e_t, dt, ut in [*zip(steps, hs, es, dts, uts)][::-1]:
-                np.matmul(h_t.transpose(1, 0, 2), gy[:, t, :, None],
-                          out=dcm[:, t, :, None])
-                g += np.multiply(cm[:, t].T[:, :, None], gy[:, t], out=tmp)
-                np.multiply(g, e_t, out=ge)
-                np.divide(ge, tile, out=gc)       # g * c
-                poles.limit(gc, lambda: g * dt)
-                np.matmul(bm[:, t, None, :], gc_rows, out=du[:, t, None, :])
-                np.matmul(gc_rows, u[:, t, :, None], out=dbm[:, t, :, None])
-                np.matmul(bm[:, t, None, :], g_rows, out=sgb)
-                np.multiply(g, h_t, out=tmp)
-                np.einsum("nbe,nbe->be", tmp, tile, out=ddelta[:, t])
-                ddelta[:, t] += sgb[:, 0] * ut
-                da_h += np.einsum("be,nbe->ne", dt, tmp)
-                np.multiply(g, dt, out=tmp)
-                tmp -= gc                         # g * (delta - c)
-                poles.limit(tmp, lambda: g * (-0.5 * dt * dt))
-                tmp *= ut
-                da_q += np.matmul(bm_t[t], tmp, out=q_t)
-                g += ge                           # g * abar = g + g * e
+    for k in range(states.shape[1] - 1, -1, -1):
+        np.copyto(g, 0, where=np.less(np.abs(g, out=tmp), _FLUSH, out=tiny))
+        steps, dts, uts = _chunk(k, delta, u)
+        h = states[:, k].transpose(1, 0, 2)
+        for j, t in enumerate(steps):             # tmp as scratch
+            _step(tile, dts[j], uts[j], bm[:, t].T[:, :, None],
+                  h, hs[j], es[j], tmp)
+            h = hs[j]
+        for t, h_t, e_t, dt, ut in [*zip(steps, hs, es, dts, uts)][::-1]:
+            np.matmul(h_t.transpose(1, 0, 2), gy[:, t, :, None],
+                      out=dcm[:, t, :, None])
+            g += np.multiply(cm[:, t].T[:, :, None], gy[:, t], out=tmp)
+            np.multiply(g, e_t, out=ge)
+            np.divide(ge, tile, out=gc)           # g * c
+            np.matmul(bm[:, t, None, :], gc_rows, out=du[:, t, None, :])
+            np.matmul(gc_rows, u[:, t, :, None], out=dbm[:, t, :, None])
+            np.matmul(bm[:, t, None, :], g_rows, out=sgb)
+            np.multiply(g, h_t, out=tmp)
+            np.einsum("nbe,nbe->be", tmp, tile, out=ddelta[:, t])
+            ddelta[:, t] += sgb[:, 0] * ut
+            da_h += np.einsum("be,nbe->ne", dt, tmp)
+            np.multiply(g, dt, out=tmp)
+            tmp -= gc                             # g * (delta - c)
+            tmp *= ut
+            da_q += np.matmul(bm_t[t], tmp, out=q_t)
+            g += ge                               # g * abar = g + g * e
     return da_h, da_q

@@ -68,12 +68,13 @@ def init_mamba(store: ParameterStore, prefix: str, d_model: int, d_state: int,
         e_inner=e_inner)
 
 
-def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
+def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
              cm: Tensor, skip_d: Tensor, keep: np.ndarray | None = None
              ) -> Tensor:
     """y = scan(u, delta, a, bm, cm) + u * skip_d as one autodiff op, with
     delta = softplus(pre + bias), zeroed where keep is false (the mask is
-    applied after the softplus).
+    applied after the softplus), and a = -exp(a_log), so every pole is
+    negative as the kernels require; d a_log = da * a.
 
     The op keeps delta, the scan checkpoints and its output; u, bm and cm
     are other nodes' data.  The backward reads softplus'(x) = sigmoid(x)
@@ -86,9 +87,9 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
     squeeze = delta.ndim == 2
     ud, dd, bd, cd = (np.ascontiguousarray(v[None] if squeeze else v)
                       for v in (u.data, delta, bm.data, cm.data))
-    ad = np.ascontiguousarray(a.data)
+    ad = -np.exp(a_log.data)
     dsk = skip_d.data
-    parents = (u, pre, bias, a, bm, cm, skip_d)
+    parents = (u, pre, bias, a_log, bm, cm, skip_d)
     y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, T.recording(parents))
     y += ud * dsk
 
@@ -102,7 +103,7 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a: Tensor, bm: Tensor,
         dbias = ddelta.sum(axis=(0, 1))
         if squeeze:
             du, ddelta, dbm, dcm = du[0], ddelta[0], dbm[0], dcm[0]
-        return du, ddelta, dbias, da, dbm, dcm, dskip
+        return du, ddelta, dbias, da * ad, dbm, dcm, dskip
 
     return T.make_op(y[0] if squeeze else y, parents, bwd, "selective_scan")
 
@@ -115,15 +116,14 @@ def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
     timescale from a softplus-rectified projection; dynamics are
     discretized by zero-order hold and the state advanced causally, and
     the skip term x * D is added to the output.  The projections are tape
-    ops; bias, softplus, mask, scan and skip run in one op, _scan_op.
+    ops; poles, bias, softplus, mask, scan and skip run in one op, _scan_op.
     Where keep ([.., L, 1], boolean) is false the timescale is zeroed
     after the softplus, so the step leaves the state exactly as it was
     (a_bar = 1, no input).
     """
-    a = T.neg(T.exp(ssm.a_log))
-    return _scan_op(x, T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b, a,
-                    T.matmul(x, ssm.proj_b), T.matmul(x, ssm.proj_c),
-                    ssm.skip_d, keep)
+    return _scan_op(x, T.matmul(x, ssm.proj_delta_w), ssm.proj_delta_b,
+                    ssm.a_log, T.matmul(x, ssm.proj_b),
+                    T.matmul(x, ssm.proj_c), ssm.skip_d, keep)
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
