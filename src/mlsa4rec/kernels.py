@@ -56,14 +56,15 @@ and the row groups of model.MlsaModel.score, each a whole no-grad
 forward.  A map with one item, or one worker, runs inline, and so does a
 map called from a pool thread: a score group's own scan runs its blocks
 on the thread that runs the group, so no pool thread ever waits on the
-pool.  The pool's threads start at the first map that uses them.
+pool.  The pool is built at the first map that needs it.  Its threads are
+daemon threads, so exit never waits on them, even on a blocked pool.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.pool import ThreadPool
 
 import numpy as np
 
@@ -77,9 +78,11 @@ _CHUNK_STEPS = 8
 _FLUSH = 1e-30
 # Threads for row blocks and score groups: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0))
-# Starts no thread until its first map; map_rows knows its threads by name.
-_POOL_NAME = "mlsa4rec-pool"
-_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix=_POOL_NAME)
+# A ThreadPool of daemon threads, built at the first map that needs it; its
+# threads set _in_pool.flag as they start, so maps they call run inline.
+_pool = None
+_pool_lock = threading.Lock()
+_in_pool = threading.local()
 
 
 def get_backend() -> str:
@@ -109,9 +112,13 @@ def map_rows(fn, groups):
     """[fn(g) for g in groups], run on the pool when there are several
     groups, more than one worker and the caller is not a pool thread;
     results come back in group order."""
-    if (len(groups) == 1 or _WORKERS == 1
-            or threading.current_thread().name.startswith(_POOL_NAME)):
+    global _pool
+    if len(groups) == 1 or _WORKERS == 1 or getattr(_in_pool, "flag", False):
         return [fn(g) for g in groups]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPool(_WORKERS, initializer=setattr,
+                               initargs=(_in_pool, "flag", True))
     return list(_pool.map(fn, groups))
 
 

@@ -84,8 +84,7 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
     delta = T.softplus_(pre.data + bias.data)
     if keep is not None:
         np.multiply(delta, keep, out=delta)
-    squeeze = delta.ndim == 2
-    ud, dd, bd, cd = (np.ascontiguousarray(v[None] if squeeze else v)
+    ud, dd, bd, cd = (np.ascontiguousarray(v.reshape(-1, *v.shape[-2:]))
                       for v in (u.data, delta, bm.data, cm.data))
     ad = -np.exp(a_log.data)
     dsk = skip_d.data
@@ -94,18 +93,17 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
     y += ud * dsk
 
     def bwd(g):
-        gy = np.ascontiguousarray(g[None] if squeeze else g)
+        gy = np.ascontiguousarray(g.reshape(ud.shape))
         du, ddelta, da, dbm, dcm = kernels.scan_backward(
             ud, dd, ad, bd, cd, checkpoints, gy)
         du += gy * dsk
         dskip = (gy * ud).sum(axis=(0, 1))
         ddelta *= -np.expm1(-dd)
         dbias = ddelta.sum(axis=(0, 1))
-        if squeeze:
-            du, ddelta, dbm, dcm = du[0], ddelta[0], dbm[0], dcm[0]
-        return du, ddelta, dbias, da * ad, dbm, dcm, dskip
+        return (du.reshape(u.shape), ddelta.reshape(pre.shape), dbias,
+                da * ad, dbm.reshape(bm.shape), dcm.reshape(cm.shape), dskip)
 
-    return T.make_op(y[0] if squeeze else y, parents, bwd, "selective_scan")
+    return T.make_op(y.reshape(u.shape), parents, bwd, "selective_scan")
 
 
 def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
@@ -135,8 +133,7 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     e, k = kd.shape
     if xd.shape[-1] != e:
         raise T.ShapeError(f"causal_conv1d: {xd.shape[-1]} channels vs kernel {e}")
-    squeeze = xd.ndim == 2
-    x3 = xd[None] if squeeze else xd
+    x3 = xd.reshape(-1, *xd.shape[-2:])
     L = x3.shape[1]
     lags = [(j, k - 1 - j) for j in range(k) if k - 1 - j < L]
     out = np.zeros_like(x3)
@@ -145,16 +142,16 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     out += bd
 
     def bwd(g):
-        g3 = g[None] if squeeze else g
+        g3 = g.reshape(x3.shape)
         dk = np.zeros_like(kd)
         dx = np.zeros_like(x3)
         for j, lag in lags:
             dk[:, j] = np.einsum("ble,ble->e", x3[:, :L - lag], g3[:, lag:])
             dx[:, :L - lag] += kd[:, j] * g3[:, lag:]
         db = g3.sum(axis=(0, 1))
-        return (dx[0] if squeeze else dx), dk, db
+        return dx.reshape(xd.shape), dk, db
 
-    return T.make_op(out[0] if squeeze else out, (x, kernel, bias), bwd, "causal_conv")
+    return T.make_op(out.reshape(xd.shape), (x, kernel, bias), bwd, "causal_conv")
 
 
 def mamba_block(x: Tensor, p: MambaParams, keep: np.ndarray | None = None

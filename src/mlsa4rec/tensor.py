@@ -9,6 +9,8 @@ single precision.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable
@@ -45,6 +47,7 @@ class CheckpointError(IOError):
 
 
 _tape_on = True
+_created = itertools.count()  # creation numbers; next() is atomic under the GIL
 
 
 @contextmanager
@@ -68,7 +71,7 @@ class Tensor:
     """A graph node over float32 or float64 data; other dtypes become float32."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
-                 "__weakref__")
+                 "_seq", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -82,6 +85,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
         self._op = "leaf"
+        self._seq = next(_created)
 
     # -- introspection ------------------------------------------------
 
@@ -102,48 +106,36 @@ class Tensor:
     # -- autodiff -----------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root, accumulating into .grad slots."""
+        """Backpropagate from a scalar root, accumulating into .grad slots.
+
+        An op node is made after its parents, so creation order is a
+        topological order: popped newest first, a node comes after all its
+        consumers, and only once a gradient reaches it.  Each op node is
+        released as its closure returns, freeing its saved arrays mid-walk.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-
-        # Each op node is released once its closure has run: its saved
-        # arrays, and the parents only it still holds, are freed as the
-        # backward proceeds instead of when it returns.
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        while order:
-            node = order.pop()
-            g = grads.pop(id(node), None)
+        pending = [(-self._seq, self)]
+        while pending:
+            node = heapq.heappop(pending)[1]
+            g = grads.pop(id(node))
             if node._backward is None:
-                if g is not None:
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
                 continue
             backward, parents = node._backward, node._parents
             node._backward, node._parents = _released, ()
-            if g is not None:
-                for p, pg in zip(parents, backward(g)):
-                    if pg is None or not p.requires_grad:
-                        continue
-                    prev = grads.get(id(p))
-                    # a closure may hand the same buffer to several
-                    # parents, so accumulate without in-place writes
-                    grads[id(p)] = pg if prev is None else prev + pg
+            for p, pg in zip(parents, backward(g)):
+                if pg is None or not p.requires_grad:
+                    continue
+                prev = grads.get(id(p))
+                if prev is None:
+                    heapq.heappush(pending, (-p._seq, p))
+                # a closure may hand the same buffer to several
+                # parents, so accumulate without in-place writes
+                grads[id(p)] = pg if prev is None else prev + pg
             del backward, parents
 
 
@@ -164,6 +156,7 @@ def make_op(data: np.ndarray, parents: Iterable[Tensor],
     out.data = data
     out.grad = None
     out._op = op
+    out._seq = next(_created)
     taped = recording(parents)
     out.requires_grad = taped
     out._parents = parents if taped else ()

@@ -268,6 +268,32 @@ class TestParallelBlocks:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.strip() == "1"
 
+    def test_blocked_pool_does_not_hold_up_exit(self):
+        # both pool threads wait forever; the main thread then returns
+        script = (
+            "import threading\n"
+            "from mlsa4rec import kernels\n"
+            "kernels._WORKERS = 2\n"
+            "started, never = threading.Barrier(3, timeout=30), threading.Event()\n"
+            "def stuck(g):\n"
+            "    started.wait()\n"
+            "    never.wait()\n"
+            "threading.Thread(target=kernels.map_rows, args=(stuck, [0, 1]),\n"
+            "                 daemon=True).start()\n"
+            "started.wait()\n")
+        src = str(Path(kernels.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], timeout=60,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_pool_map_keeps_order_and_raises(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        assert kernels.map_rows(lambda g: g * g, list(range(9))) == \
+            [g * g for g in range(9)]
+        with pytest.raises(ZeroDivisionError):
+            kernels.map_rows(lambda g: 1 / g, [2, 1, 0, 3])
+
     def test_workers_leave_results_bitwise_unchanged(self, monkeypatch, spy_pool):
         rng = np.random.default_rng(7)
         B, L, E, N = 7, 2 * kernels._CHUNK_STEPS + 3, 4, 3

@@ -267,6 +267,62 @@ class TestEmbeddingAndStructure:
             Tensor(np.zeros((1, 1, 1, 1)))
 
 
+DAG_WIDTH = 4
+
+
+@st.composite
+def dag_recipes(draw):
+    """A seed, 2-4 leaves, then 1-10 ops that each read any earlier node, so
+    some nodes feed ops made much later, as forward's residual adds do.  A
+    mul's second operand is a leaf, so the loss stays a polynomial of degree
+    11 at most, with positive terms in leaves drawn from [1, 2]: central
+    differences resolve its gradient well inside grad_check's 1e-6."""
+    n_leaves = draw(st.integers(2, 4))
+    ops = []
+    for n in range(n_leaves, n_leaves + draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("add", "mul", "scale", "splice")))
+        ops.append((kind, draw(st.integers(0, n - 1)),
+                    draw(st.integers(0, (n_leaves if kind == "mul" else n) - 1)),
+                    draw(st.integers(1, DAG_WIDTH - 1))))
+    return draw(st.integers(0, 2**16)), n_leaves, ops
+
+
+def build_dag(store, ops, made):
+    """The recipe's graph over the store's leaves, summed over the nodes
+    that no op reads; every op node it makes is appended to made."""
+    nodes, read = list(store.entries.values()), set()
+    for kind, a, b, k in ops:
+        x, y = nodes[a], nodes[b]
+        read.update((a,) if kind == "scale" else (a, b))
+        if kind == "add":
+            out = T.add(x, y)
+        elif kind == "mul":
+            out = T.mul(x, y)
+        elif kind == "scale":
+            out = T.scale(x, 0.5 * k)
+        else:   # x's first k columns next to y's others
+            parts = [T.slice_last(x, 0, k), T.slice_last(y, k, DAG_WIDTH)]
+            made.extend(parts)
+            out = T.concat_last(parts)
+        made.append(out)
+        nodes.append(out)
+    sinks = [t for i, t in enumerate(nodes) if i not in read]
+    total = sinks[-1]
+    for t in sinks[-2::-1]:
+        total = T.add(total, t)
+        made.append(total)
+    made.append(T.tsum(total))
+    return made[-1]
+
+
+def logged(closure, key, ran):
+    """closure, appending key to ran each time it runs."""
+    def run(g):
+        ran.append(key)
+        return closure(g)
+    return run
+
+
 class TestGraphMechanics:
     def test_backward_requires_scalar(self):
         x = tensor64(np.ones(3))
@@ -285,6 +341,28 @@ class TestGraphMechanics:
         z = T.tsum(T.add(y, y))         # 2 x^2; dz/dx = 4x = 8
         z.backward()
         np.testing.assert_allclose(x.grad, [8.0])
+
+    @given(dag_recipes())
+    @settings(max_examples=60, deadline=None)
+    def test_tape_runs_consumers_first_on_random_dags(self, recipe):
+        seed, n_leaves, ops = recipe
+        store = ParameterStore(seed, dtype=np.float64)
+        for i in range(n_leaves):
+            store.add(f"leaf{i}", store.rng.uniform(1, 2, (2, DAG_WIDTH)))
+        made, ran = [], []
+        loss = build_dag(store, ops, made)
+        consumers = {id(t): [] for t in made}
+        for t in made:
+            for p in t._parents:
+                if id(p) in consumers:
+                    consumers[id(p)].append(t)
+            t._backward = logged(t._backward, id(t), ran)
+        loss.backward()
+        assert sorted(ran) == sorted(consumers)     # each closure ran once
+        when = {key: step for step, key in enumerate(ran)}
+        for t in made:
+            assert all(when[id(c)] < when[id(t)] for c in consumers[id(t)])
+        assert grad_check(lambda s: build_dag(s, ops, []), store) < 1e-6
 
     def test_backward_frees_the_tape(self):
         x = tensor64([[1.0, 2.0], [3.0, -1.0]])
