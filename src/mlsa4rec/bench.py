@@ -1,13 +1,15 @@
 """Empirical complexity harness.
 
-Times component forward passes across sequence lengths and fits a
-log-log slope: linear-time components should stay near 1, quadratic
-attention near 2.
+Times component forward passes, and whole training steps, across
+sequence lengths and fits a log-log slope: linear-time components
+should stay near 1, quadratic attention near 2.  Each point also records
+the tracemalloc peak of one call.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,10 +19,12 @@ from .attention import init_lsa, lsa_attention, vanilla_attention
 from .mamba import init_mamba, mamba_block
 from .model import MlsaModel, ModelConfig
 from .tensor import ParameterStore, Tensor
+from .train_eval import Adam, train_step
 
-COMPONENTS = ("mamba_block", "lsa", "vanilla_attention", "full_model")
+COMPONENTS = ("mamba_block", "lsa", "vanilla_attention", "full_model",
+              "train_step")
 
-# every point times a forward pass over this many sequences of one length
+# every point times a call over this many sequences of one length
 BATCH_SIZE = 2
 # full_model scores this many items (id 0 is padding)
 VOCAB_SIZE = 1000
@@ -28,8 +32,8 @@ VOCAB_SIZE = 1000
 
 @dataclass
 class BenchResult:
-    rows: list[dict]                 # component, L, mean_ms, std_ms, reps
-    slopes: dict[str, float]         # component -> fitted log-log slope
+    rows: list[dict]          # component, L, mean_ms, std_ms, reps, peak_bytes
+    slopes: dict[str, float]  # component -> fitted log-log slope
 
 
 def fit_slope(lengths, means) -> float:
@@ -45,40 +49,59 @@ def _median_of_means(samples: list[float]) -> float:
     return float(np.median([c.mean() for c in chunks]))
 
 
+def _peak_bytes(fn) -> int:
+    """tracemalloc's allocation peak over one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _component_fn(component: str, cfg: ModelConfig, seed: int):
-    """One forward pass of the component built from cfg, over BATCH_SIZE
-    sequences of length cfg.max_len."""
+    """One call of the component built from cfg, over BATCH_SIZE sequences
+    of length cfg.max_len: a forward pass without the tape, or for
+    train_step one Adam step (forward, cross-entropy, backward)."""
     rng = np.random.default_rng(seed)
     batch = (BATCH_SIZE, cfg.max_len)
     if component == "full_model":
         model = MlsaModel(cfg, seed=seed)
         ids = rng.integers(1, cfg.vocab_size, size=batch)
         return lambda: model.score(ids)
+    if component == "train_step":
+        model = MlsaModel(cfg, seed=seed)
+        opt = Adam(model.params)
+        ids = rng.integers(1, cfg.vocab_size, size=batch)
+        targets = rng.integers(1, cfg.vocab_size, size=BATCH_SIZE)
+        return lambda: train_step(model, opt, ids, targets)
     store = ParameterStore(seed)
     x = Tensor((rng.standard_normal((*batch, cfg.d_model)) * 0.1)
                .astype(np.float32))
     if component == "mamba_block":
         params = init_mamba(store, "m", cfg.d_model, cfg.d_state, cfg.d_conv,
                             cfg.expand)
-        return lambda: mamba_block(x, params)
+        return T.no_grad()(lambda: mamba_block(x, params))
     if component == "lsa":
         params = init_lsa(store, "a", cfg.d_model, cfg.n_interests, cfg.n_heads)
-        return lambda: lsa_attention(x, params)
+        return T.no_grad()(lambda: lsa_attention(x, params))
     if component == "vanilla_attention":
         params = init_lsa(store, "a", cfg.d_model, None, cfg.n_heads)
-        return lambda: vanilla_attention(x, params)
+        return T.no_grad()(lambda: vanilla_attention(x, params))
     raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
 
 
 def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
                   **shape) -> BenchResult:
-    """Forward-only wall-clock per component per sequence length.
+    """Wall-clock and peak bytes per component per sequence length.
 
     Every component is built from one ModelConfig: shape takes any of its
     fields, max_len is set to each length in turn and vocab_size is
-    VOCAB_SIZE.  Repetitions are interleaved across all (component,
-    length) points so transient machine-load bursts spread evenly instead
-    of biasing one point; each point reports a median-of-means over its
+    VOCAB_SIZE.  Each point is called three times first, the third time
+    under tracemalloc for its peak (train_step's Adam moments exist by
+    then).  Repetitions are interleaved across all (component, length)
+    points so transient machine-load bursts spread evenly instead of
+    biasing one point; each point reports a median-of-means over its
     samples.
     """
     lengths = list(lengths)
@@ -94,39 +117,40 @@ def bench_scaling(components, lengths, reps: int = 5, seed: int = 0, log=None,
                          f"choose each of {COMPONENTS} at most once")
     cfg = ModelConfig(vocab_size=VOCAB_SIZE, **shape)
     cfg.validate()
-    points = []
-    with T.no_grad():
-        for component in components:
-            for seq_len in lengths:
-                fn = _component_fn(component, replace(cfg, max_len=seq_len),
-                                   seed)
-                for _ in range(3):
-                    fn()
-                points.append((component, seq_len, fn))
-        samples: dict[tuple[str, int], list[float]] = \
-            {(c, sl): [] for c, sl, _ in points}
-        for _ in range(reps):
-            for component, seq_len, fn in points:
-                t0 = time.perf_counter()
-                fn()
-                samples[(component, seq_len)].append(
-                    (time.perf_counter() - t0) * 1e3)
-        rows = []
-        slopes = {}
-        for component in components:
-            means = []
-            for seq_len in lengths:
-                s = samples[(component, seq_len)]
-                mean_ms = _median_of_means(s)
-                rows.append({"component": component, "L": seq_len,
-                             "mean_ms": mean_ms, "std_ms": float(np.std(s)),
-                             "reps": reps})
-                means.append(mean_ms)
-                if log:
-                    log(f"{component} L={seq_len}: {mean_ms:.3f} ms")
-            slopes[component] = fit_slope(lengths, means)
+    points, peaks = [], {}
+    for component in components:
+        for seq_len in lengths:
+            fn = _component_fn(component, replace(cfg, max_len=seq_len), seed)
+            fn()
+            fn()
+            peaks[(component, seq_len)] = _peak_bytes(fn)
+            points.append((component, seq_len, fn))
+    samples: dict[tuple[str, int], list[float]] = \
+        {(c, sl): [] for c, sl, _ in points}
+    for _ in range(reps):
+        for component, seq_len, fn in points:
+            t0 = time.perf_counter()
+            fn()
+            samples[(component, seq_len)].append(
+                (time.perf_counter() - t0) * 1e3)
+    rows = []
+    slopes = {}
+    for component in components:
+        means = []
+        for seq_len in lengths:
+            s = samples[(component, seq_len)]
+            mean_ms = _median_of_means(s)
+            peak = peaks[(component, seq_len)]
+            rows.append({"component": component, "L": seq_len,
+                         "mean_ms": mean_ms, "std_ms": float(np.std(s)),
+                         "reps": reps, "peak_bytes": peak})
+            means.append(mean_ms)
             if log:
-                log(f"{component} slope: {slopes[component]:.3f}")
+                log(f"{component} L={seq_len}: {mean_ms:.3f} ms, "
+                    f"peak {peak / 1e6:.1f} MB")
+        slopes[component] = fit_slope(lengths, means)
+        if log:
+            log(f"{component} slope: {slopes[component]:.3f}")
     return BenchResult(rows, slopes)
 
 

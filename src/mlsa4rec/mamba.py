@@ -76,8 +76,9 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
     applied after the softplus), and a = -exp(a_log), so every pole is
     negative as the kernels require; d a_log = da * a.
 
-    The op keeps delta, the scan checkpoints and its output; u, bm and cm
-    are other nodes' data.  The backward reads softplus'(x) = sigmoid(x)
+    The closure keeps delta and the scan checkpoints beside the arrays of
+    u, bm and cm, and only the shapes of the tensors; no backward reads
+    pre + bias.  The backward reads softplus'(x) = sigmoid(x)
     = 1 - exp(-delta) off delta, which is zero at the masked steps, as
     their gradient must be.
     """
@@ -88,6 +89,7 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
                       for v in (u.data, delta, bm.data, cm.data))
     ad = -np.exp(a_log.data)
     dsk = skip_d.data
+    ushape, sshape = u.shape, bm.shape
     parents = (u, pre, bias, a_log, bm, cm, skip_d)
     y, checkpoints = kernels.scan_forward(ud, dd, ad, bd, cd, T.recording(parents))
     y += ud * dsk
@@ -100,10 +102,10 @@ def _scan_op(u: Tensor, pre: Tensor, bias: Tensor, a_log: Tensor, bm: Tensor,
         dskip = (gy * ud).sum(axis=(0, 1))
         ddelta *= -np.expm1(-dd)
         dbias = ddelta.sum(axis=(0, 1))
-        return (du.reshape(u.shape), ddelta.reshape(pre.shape), dbias,
-                da * ad, dbm.reshape(bm.shape), dcm.reshape(cm.shape), dskip)
+        return (du.reshape(ushape), ddelta.reshape(ushape), dbias,
+                da * ad, dbm.reshape(sshape), dcm.reshape(sshape), dskip)
 
-    return T.make_op(y.reshape(u.shape), parents, bwd, "selective_scan")
+    return T.make_op(y.reshape(ushape), parents, bwd, "selective_scan")
 
 
 def selective_scan(x: Tensor, ssm: SsmParams, keep: np.ndarray | None = None
@@ -161,11 +163,13 @@ def mamba_block(x: Tensor, p: MambaParams, keep: np.ndarray | None = None
     keep ([.., L, 1], boolean) marks real positions.  Masked positions
     enter the convolution as zeros, like its own left padding, and leave
     the scan state untouched, so the outputs at real positions are those
-    of the real positions alone.
+    of the real positions alone.  u and z come from two matmuls against
+    the column halves of in_proj, so that no view of a [.., L, 2E]
+    product keeps z's half alive along with u.
     """
-    xz = T.matmul(x, p.in_proj)
-    u = T.slice_last(xz, 0, p.e_inner)
-    z = T.slice_last(xz, p.e_inner, 2 * p.e_inner)
+    e = p.e_inner
+    u = T.matmul(x, T.slice_last(p.in_proj, 0, e))
+    z = T.matmul(x, T.slice_last(p.in_proj, e, 2 * e))
     if keep is not None:
         u = T.masked_fill(u, keep)
     u = T.silu(causal_conv1d(u, p.conv_w, p.conv_b))

@@ -5,6 +5,14 @@ backward closures so that gradients of a scalar loss reach every
 parameter analytically.  Default precision is float32; a float64 mode
 exists because finite-difference gradient checking is unreliable in
 single precision.
+
+The tape's graph is kept apart from the data.  A tensor that needs a
+gradient holds its array, its .grad slot and a _Node: the backward
+closure, the parents' nodes and the creation number, and for a leaf the
+leaf tensor.  No node holds an array, and a closure captures arrays and
+shapes, never a tensor, so the tape keeps exactly the arrays some
+backward reads: an op result that the forward drops is freed at once,
+unless a closure captured its array.
 """
 
 from __future__ import annotations
@@ -67,11 +75,25 @@ def recording(parents: Iterable[Tensor]) -> bool:
     return _tape_on and any(p.requires_grad for p in parents)
 
 
-class Tensor:
-    """A graph node over float32 or float64 data; other dtypes become float32."""
+class _Node:
+    """A tensor's place on the tape, without its data: the backward closure,
+    the parents' nodes (None for a parent that needs no gradient), the
+    creation number and, for a leaf, the leaf tensor whose .grad it fills."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
-                 "_seq", "__weakref__")
+    __slots__ = ("backward", "parents", "seq", "leaf", "__weakref__")
+
+    def __init__(self, backward, parents: tuple, leaf: Tensor | None = None):
+        self.backward = backward
+        self.parents = parents
+        self.seq = next(_created)
+        self.leaf = leaf
+
+
+class Tensor:
+    """An array over float32 or float64 data (other dtypes become float32),
+    with a tape node when it needs a gradient."""
+
+    __slots__ = ("data", "grad", "_node", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -81,13 +103,23 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 3")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], tuple] | None = None
+        self._node = _Node(None, (), self) if requires_grad else None
         self._op = "leaf"
-        self._seq = next(_created)
 
     # -- introspection ------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], tuple] | None:
+        """The node's closure; a tracer may read and rewrap it."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, backward) -> None:
+        self._node.backward = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,27 +147,29 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root")
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        pending = [(-self._seq, self)]
+        root = self._node or _Node(None, (), self)
+        grads: dict[_Node, np.ndarray] = {root: np.ones_like(self.data)}
+        pending = [(-root.seq, root)]
         while pending:
             node = heapq.heappop(pending)[1]
-            g = grads.pop(id(node))
-            if node._backward is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            g = grads.pop(node)
+            leaf = node.leaf
+            if leaf is not None:
+                if leaf.grad is None:
+                    leaf.grad = np.zeros_like(leaf.data)
+                leaf.grad += g
                 continue
-            backward, parents = node._backward, node._parents
-            node._backward, node._parents = _released, ()
+            backward, parents = node.backward, node.parents
+            node.backward, node.parents = _released, ()
             for p, pg in zip(parents, backward(g)):
-                if pg is None or not p.requires_grad:
+                if pg is None or p is None:
                     continue
-                prev = grads.get(id(p))
+                prev = grads.get(p)
                 if prev is None:
-                    heapq.heappush(pending, (-p._seq, p))
+                    heapq.heappush(pending, (-p.seq, p))
                 # a closure may hand the same buffer to several
                 # parents, so accumulate without in-place writes
-                grads[id(p)] = pg if prev is None else prev + pg
+                grads[p] = pg if prev is None else prev + pg
             del backward, parents
 
 
@@ -148,7 +182,11 @@ def _released(g):
 
 def make_op(data: np.ndarray, parents: Iterable[Tensor],
             backward: Callable[[np.ndarray], tuple], op: str) -> Tensor:
-    """Create an op-result Tensor, enforcing the finite-values invariant."""
+    """Create an op-result Tensor, enforcing the finite-values invariant.
+
+    backward must capture arrays and shapes, never a Tensor: the node keeps
+    the closure, and a captured op result would keep its whole array alive.
+    """
     if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by '{op}'")
     parents = tuple(parents)
@@ -156,11 +194,8 @@ def make_op(data: np.ndarray, parents: Iterable[Tensor],
     out.data = data
     out.grad = None
     out._op = op
-    out._seq = next(_created)
-    taped = recording(parents)
-    out.requires_grad = taped
-    out._parents = parents if taped else ()
-    out._backward = backward if taped else None
+    out._node = (_Node(backward, tuple(p._node for p in parents))
+                 if recording(parents) else None)
     return out
 
 
@@ -195,10 +230,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two tensors of the same shape."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
     def bwd(g):
-        return g * b.data, g * a.data
-    return make_op(a.data * b.data, (a, b), bwd, "mul")
+        return g * bd, g * ad
+    return make_op(ad * bd, (a, b), bwd, "mul")
 
 
 def masked_fill(a: Tensor, keep: np.ndarray, value: float = 0.0) -> Tensor:
@@ -290,25 +326,28 @@ def take_row(a: Tensor, idx: int) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("take_row requires rank >= 2")
     out = np.ascontiguousarray(a.data[..., idx, :])
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype=dtype)
         full[..., idx, :] = g
         return (full,)
     return make_op(out, (a,), bwd, "take_row")
 
 
 def tsum(a: Tensor) -> Tensor:
+    shape, dtype = a.shape, a.dtype
+
     def bwd(g):
-        return (np.full_like(a.data, float(g)),)
+        return (np.full(shape, float(g), dtype=dtype),)
     return make_op(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), bwd, "sum")
 
 
 def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
+    n, shape, dtype = a.data.size, a.shape, a.dtype
 
     def bwd(g):
-        return (np.full_like(a.data, float(g) / n),)
+        return (np.full(shape, float(g) / n, dtype=dtype),)
     return make_op(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), bwd, "mean")
 
 
@@ -338,13 +377,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    gd = gain.data
+    out = xhat * gd + bias.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead)
         dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
+        dxhat = g * gd
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgain, dbias
@@ -371,23 +411,26 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x); the backward reads s and the output, not x:
+    d/dx = s * (1 + x * (1 - s)) = s + out * (1 - s)."""
     s = _sigmoid(x.data)
     out = x.data * s
 
     def bwd(g):
-        return (g * s * (1.0 + x.data * (1.0 - s)),)
+        return (g * (s + out * (1.0 - s)),)
     return make_op(out, (x,), bwd, "silu")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x), with Phi(x) = erfc(-x/sqrt2)/2,
     which unlike 1 + erf(x/sqrt2) does not cancel in float32 for x < 0."""
-    phi_cdf = 0.5 * erfc(x.data * -_INV_SQRT2)
-    out = x.data * phi_cdf
+    xd = x.data
+    phi_cdf = 0.5 * erfc(xd * -_INV_SQRT2)
+    out = xd * phi_cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (phi_cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        return (g * (phi_cdf + xd * pdf),)
     return make_op(out, (x,), bwd, "gelu")
 
 
@@ -404,9 +447,11 @@ def softplus_(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: Tensor) -> Tensor:
+    xd = x.data
+
     def bwd(g):
-        return (g * _sigmoid(x.data),)
-    return make_op(softplus_(x.data.copy()), (x,), bwd, "softplus")
+        return (g * _sigmoid(xd),)
+    return make_op(softplus_(xd.copy()), (x,), bwd, "softplus")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -425,22 +470,29 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"item id out of range [0, {table.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}")
     out = table.data[ids]
+    shape, dtype = table.shape, table.dtype
 
     def bwd(g):
-        dtab = np.zeros_like(table.data)
-        np.add.at(dtab, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        dtab = np.zeros(shape, dtype=dtype)
+        np.add.at(dtab, ids.reshape(-1), g.reshape(-1, shape[1]))
         return (dtab,)
     return make_op(out, (table,), bwd, "embedding")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1 - p, drawn
+    from rng's float64 stream, and scaled by 1 / (1 - p) in x's dtype.
+    The backward keeps the boolean mask and the scale."""
     if not training or p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = rng.random(x.shape) >= p
+    dt = x.data.dtype.type
+    scale = dt(1.0) / dt(1.0 - p)
 
     def bwd(g):
-        return (g * keep,)
-    return make_op(x.data * keep, (x,), bwd, "dropout")
+        return (np.multiply(g, scale, out=np.zeros_like(g), where=keep),)
+    return make_op(np.multiply(x.data, scale, out=np.zeros_like(x.data),
+                               where=keep), (x,), bwd, "dropout")
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -460,13 +512,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     rows = np.arange(ld.shape[0])
     losses = lse - ld[rows, tg]
     out = np.asarray(losses.mean(), dtype=logits.data.dtype)
+    shape = logits.shape
 
     def bwd(g):
         soft = np.exp(ld - m)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[rows, tg] -= 1.0
         soft *= float(g) / ld.shape[0]
-        return (soft.reshape(logits.shape),)
+        return (soft.reshape(shape),)
     return make_op(out, (logits,), bwd, "cross_entropy")
 
 

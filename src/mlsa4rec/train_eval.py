@@ -182,8 +182,11 @@ def build_training_examples(split: Split, max_len: int, augment: str = "none"
 
 def train_step(model: MlsaModel, opt: Adam, xb: np.ndarray, yb: np.ndarray
                ) -> tuple[float, np.ndarray]:
-    """One Adam step on the batch's cross-entropy; returns (loss, logits)."""
-    logits, _ = model.forward(xb, training=True)
+    """One Adam step on the batch's cross-entropy; returns (loss, logits).
+
+    Only the logits are kept from forward: its intermediates would hold
+    their arrays through the backward."""
+    logits = model.forward(xb, training=True)[0]
     loss = ce_loss(logits, yb)
     model.params.zero_grads()
     loss.backward()

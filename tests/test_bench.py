@@ -1,7 +1,6 @@
 """Benchmark harness: slope fitting, CSV/SVG output, memory scaling."""
 
 import csv
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,23 +8,12 @@ import pytest
 
 from mlsa4rec import bench, kernels
 from mlsa4rec.bench import (bench_scaling, fit_slope, write_scaling_svg,
-                            _median_of_means)
+                            _median_of_means, _peak_bytes)
 from mlsa4rec.cli import write_csv
 from mlsa4rec.model import MlsaModel, ModelConfig
 from mlsa4rec.train_eval import Adam, train_step
 
 TINY_LENGTHS = [8, 16, 32, 64]
-
-
-def peak_forward_memory(model: MlsaModel, ids: np.ndarray) -> int:
-    """Peak bytes allocated during one gradient-enabled forward pass."""
-    tracemalloc.start()
-    try:
-        model.forward(ids, training=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 class TestSlopeFit:
@@ -114,7 +102,8 @@ class TestMemory:
                               d_state=8, n_interests=4, n_heads=2, n_layers=1)
             model = MlsaModel(cfg, seed=0)
             ids = np.random.default_rng(0).integers(1, 50, size=(1, seq_len))
-            peaks.append(peak_forward_memory(model, ids))
+            # a gradient-enabled forward pass
+            peaks.append(_peak_bytes(lambda: model.forward(ids, training=False)))
         slope = fit_slope(lengths, peaks)
         assert 0.7 <= slope <= 1.2, f"memory slope {slope}: {peaks}"
 
@@ -135,17 +124,27 @@ class TestMemory:
             model = MlsaModel(cfg, seed=0)
             opt = Adam(model.params, lr=1e-3)
             train_step(model, opt, xb, yb)    # Adam's moments exist first
-            tracemalloc.start()
-            try:
-                train_step(model, opt, xb, yb)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _peak_bytes(lambda: train_step(model, opt, xb, yb))
 
         C = kernels._CHUNK_STEPS
         state_bytes = cfg.d_state * cfg.expand * cfg.d_model * 4
         saved = (cfg.n_layers + 1) * B * (L - -(-L // C)) * state_bytes
         assert peak(1) - peak(C) >= 0.9 * saved
+
+
+class TestTrainingScaling:
+    def test_training_step_time_and_peak_scale_linearly(self, monkeypatch):
+        # a whole training step, backward and Adam included, at the desk
+        # widths: a [B, L, L] temporary or an unchunked per-position head
+        # would push a slope toward 2
+        monkeypatch.setattr(bench, "BATCH_SIZE", 4)
+        lengths = [128, 256, 512, 1024]
+        res = bench_scaling(["train_step"], lengths, reps=5)
+        peaks = [r["peak_bytes"] for r in res.rows]
+        time_slope = res.slopes["train_step"]
+        peak_slope = fit_slope(lengths, peaks)
+        assert time_slope <= 1.3 and peak_slope <= 1.3, \
+            f"slopes: time {time_slope:.3f}, peak {peak_slope:.3f}; {res.rows}"
 
 
 class TestSvg:

@@ -1,16 +1,21 @@
 """Model assembly: fusion-layer oracle, variants, stack, prediction contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from mlsa4rec import mamba as mamba_module
 from mlsa4rec import model as model_module
 from mlsa4rec import tensor as T
 from mlsa4rec.model import MlsaModel, ModelConfig, VARIANTS
 from mlsa4rec.tensor import load_checkpoint, save_checkpoint
 from mlsa4rec.train_eval import model_grad_check
+
+from .conftest import captured, tape_nodes
 
 
 # --- independent numpy transcription of the forward pieces -----------------
@@ -444,22 +449,11 @@ class TestPaddingAndDropout:
         np.testing.assert_array_equal(a.data, b.data)
 
 
-def tape_nodes(root):
-    """Every node on root's tape, root and leaves included."""
-    nodes, stack, seen = [], [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 class TestPrecision:
     @pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_training_step_keeps_the_model_dtype(self, variant, float64):
+    def test_training_step_keeps_the_model_dtype(self, variant, float64,
+                                                 monkeypatch):
         # every array a training step computes, forward and backward, has
         # the parameters' dtype: nothing promotes float32 to float64
         model = MlsaModel(small_config(variant=variant, n_layers=2, dropout=0.1),
@@ -467,27 +461,65 @@ class TestPrecision:
         if float64:
             model.cast_float64()
         dtype = model.params.dtype
-        loss = T.cross_entropy(model.forward(MIXED, training=True)[0],
-                               np.array([1, 2, 3]))
         wrong, grads = [], []
+        make_op = T.make_op
 
-        def checked(backward, op):
+        def checked(data, parents, backward, op):
+            if data.dtype != dtype:
+                wrong.append((op, data.dtype))
+
             def run(g):
                 out = backward(g)
                 grads.extend(pg for pg in out if pg is not None)
                 wrong.extend((op, pg.dtype) for pg in out
                              if pg is not None and pg.dtype != dtype)
                 return out
-            return run
+            return make_op(data, parents, run, op)
 
-        for node in tape_nodes(loss):
-            if node.data.dtype != dtype:
-                wrong.append((node._op, node.data.dtype))
-            if node._backward is not None:
-                node._backward = checked(node._backward, node._op)
+        monkeypatch.setattr(T, "make_op", checked)
+        loss = T.cross_entropy(model.forward(MIXED, training=True)[0],
+                               np.array([1, 2, 3]))
+        wrong.extend(("leaf", node.leaf.dtype) for node in tape_nodes(loss)
+                     if node.leaf is not None and node.leaf.dtype != dtype)
         loss.backward()
         assert grads
         assert wrong == []
+
+
+class TestTape:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_closure_captures_a_tensor(self, variant):
+        # closures capture arrays and shapes: a captured op result would
+        # keep its whole array, and its node, alive until the backward
+        model = MlsaModel(small_config(variant=variant, n_layers=2, dropout=0.1),
+                          seed=26)
+        loss = T.cross_entropy(model.forward(MIXED, training=True)[0],
+                               np.array([1, 2, 3]))
+        held = [(node.backward.__qualname__, obj._op)
+                for node in tape_nodes(loss) if node.leaf is None
+                for obj in captured(node.backward) if isinstance(obj, T.Tensor)]
+        assert held == []
+
+    def test_an_unread_intermediate_dies_with_forward(self, monkeypatch):
+        # the scan op reads its own softplus of u @ proj_delta_w, so no
+        # backward reads that product: once forward returns, the tensor
+        # and its array are gone, and the backward still reaches the weight
+        model = MlsaModel(small_config(n_layers=2), seed=27)
+        refs = []
+        scan_op = mamba_module._scan_op
+
+        def spy(u, pre, *rest):
+            refs.append((weakref.ref(pre), weakref.ref(pre.data)))
+            return scan_op(u, pre, *rest)
+
+        monkeypatch.setattr(mamba_module, "_scan_op", spy)
+        logits, inter = model.forward(MIXED, training=True)
+        assert len(refs) == 3                  # il.mamba, stack.0, stack.1
+        assert all(t() is None and a() is None for t, a in refs)
+        T.cross_entropy(logits, np.array([1, 2, 3])).backward()
+        grads = [t.grad for name, t in model.params.entries.items()
+                 if name.endswith("proj_delta.w")]
+        assert len(grads) == 3 and all(np.any(g != 0) for g in grads)
 
 
 class TestStoreManagement:

@@ -333,7 +333,7 @@ class TestGraphMechanics:
         x = tensor64(np.ones(3))
         with T.no_grad():
             y = T.mul(x, x)
-        assert not y.requires_grad and y._parents == ()
+        assert not y.requires_grad and y._node is None
 
     def test_diamond_graph_accumulates(self):
         x = tensor64(np.array([2.0]))
@@ -351,17 +351,18 @@ class TestGraphMechanics:
             store.add(f"leaf{i}", store.rng.uniform(1, 2, (2, DAG_WIDTH)))
         made, ran = [], []
         loss = build_dag(store, ops, made)
-        consumers = {id(t): [] for t in made}
+        # made holds every op result, so its nodes' ids stay unique
+        consumers = {id(t._node): [] for t in made}
         for t in made:
-            for p in t._parents:
+            for p in t._node.parents:
                 if id(p) in consumers:
-                    consumers[id(p)].append(t)
-            t._backward = logged(t._backward, id(t), ran)
+                    consumers[id(p)].append(id(t._node))
+            t._backward = logged(t._backward, id(t._node), ran)
         loss.backward()
         assert sorted(ran) == sorted(consumers)     # each closure ran once
         when = {key: step for step, key in enumerate(ran)}
-        for t in made:
-            assert all(when[id(c)] < when[id(t)] for c in consumers[id(t)])
+        for key, users in consumers.items():
+            assert all(when[c] < when[key] for c in users)
         assert grad_check(lambda s: build_dag(s, ops, []), store) < 1e-6
 
     def test_backward_frees_the_tape(self):
@@ -370,13 +371,15 @@ class TestGraphMechanics:
         v = tensor64([[2.0], [-3.0]])
 
         def build():
-            prod = T.mul(x, w)                  # held only by the tape
-            return T.tsum(T.matmul(prod, v)), weakref.ref(prod)
+            prod = T.mul(x, w)      # its array held only by matmul's closure
+            return (T.tsum(T.matmul(prod, v)), weakref.ref(prod),
+                    weakref.ref(prod.data), weakref.ref(prod._node))
 
-        loss, prod = build()
-        assert prod() is not None
+        loss, prod, data, node = build()
+        assert prod() is None       # the tape holds no tensor
+        assert data() is not None and node() is not None
         loss.backward()
-        assert prod() is None
+        assert data() is None and node() is None
         # loss = sum_ij x_ij * w_ij * v_j
         np.testing.assert_array_equal(x.grad, [[1.0, 6.0], [3.0, -12.0]])
         np.testing.assert_array_equal(w.grad, [[2.0, -6.0], [6.0, 3.0]])
@@ -402,6 +405,23 @@ class TestGraphMechanics:
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 2.0)  # inverted scaling
         assert 20 < (out == 0).sum() < 80
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_matches_a_float_mask(self, dtype):
+        # the boolean mask and one scale give bitwise the outputs and
+        # gradients of multiplying by a float mask keep / (1 - p) drawn
+        # from the same float64 stream
+        x = Tensor(np.random.default_rng(3).standard_normal((4, 6, 5))
+                   .astype(dtype), requires_grad=True)
+        g = np.random.default_rng(4).standard_normal(x.shape).astype(dtype)
+        p = 0.3
+        out = T.dropout(x, p, np.random.default_rng(5), training=True)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        mask = (np.random.default_rng(5).random(x.shape) >= p
+                ).astype(dtype) / (1.0 - p)
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, x.data * mask)
+        np.testing.assert_array_equal(x.grad, g * mask)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
