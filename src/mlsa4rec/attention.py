@@ -49,16 +49,17 @@ def interest_aggregate(hmat: Tensor, theta: Tensor, keep: np.ndarray | None = No
                        ) -> tuple[Tensor, Tensor]:
     """Soft-assign each row of hmat to interests, then pool rows per interest.
 
-    Returns (z, pooled): z[t] is a distribution over interests for row t
-    (softmax of hmat @ theta^T), pooled = z^T @ hmat with one row per
-    interest.  Rows where keep ([.., L, 1], boolean) is false get z = 0,
-    so they add nothing to the pools.
+    Returns (zt, pooled): zt is the transposed assignment z^T ([.., P, L]),
+    whose column t is a distribution over interests for row t (softmax of
+    hmat @ theta^T), and pooled = zt @ hmat with one row per interest.
+    Rows where keep ([.., L, 1], boolean) is false get z = 0, so they add
+    nothing to the pools.
     """
     z = T.softmax(T.matmul(hmat, T.transpose_last(theta)))
     if keep is not None:
         z = T.masked_fill(z, keep)
-    pooled = T.matmul(T.transpose_last(z), hmat)
-    return z, pooled
+    zt = T.transpose_last(z)
+    return zt, T.matmul(zt, hmat)
 
 
 def _split_heads(x: Tensor, n_heads: int) -> list[Tensor]:
@@ -88,8 +89,8 @@ def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
                   ) -> Tensor:
     """Attention through the interest bottleneck; [.., L, D] -> same shape.
 
-    One assignment z is computed from the keys and reused to pool both
-    keys and values; each head then attends over its slice of the P
+    One assignment z is computed from the keys, and its transpose pools
+    both keys and values; each head then attends over its slice of the P
     pooled rows.  Positions where keep ([.., L, 1], boolean) is false are
     left out of the pools.
     """
@@ -102,8 +103,8 @@ def lsa_attention(x: Tensor, p: LsaParams, keep: np.ndarray | None = None
     q = T.matmul(x, p.w_q)
     k = T.matmul(x, p.w_k)
     v = T.matmul(x, p.w_v)
-    z, k_pool = interest_aggregate(k, p.theta, keep)
-    v_pool = T.matmul(T.transpose_last(z), v)
+    zt, k_pool = interest_aggregate(k, p.theta, keep)
+    v_pool = T.matmul(zt, v)
     return _multi_head(q, k_pool, v_pool, p.n_heads)
 
 

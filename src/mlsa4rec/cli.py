@@ -25,10 +25,6 @@ from .tensor import CheckpointError, ShapeError, load_checkpoint, save_checkpoin
 from .train_eval import evaluate, grid_search, model_grad_check, train_multi_seed
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_args(argv: list[str]) -> RunConfig:
     file_values: dict[str, str] = {}
     overrides: dict[str, str] = {}
@@ -36,7 +32,7 @@ def _parse_args(argv: list[str]) -> RunConfig:
     while i < len(argv):
         token = argv[i]
         if not token.startswith("--"):
-            raise UsageError(f"unexpected argument: {token}")
+            raise ConfigError(f"unexpected argument: {token}")
         body = token[2:]
         if "=" in body:
             key, _, value = body.partition("=")
@@ -48,7 +44,7 @@ def _parse_args(argv: list[str]) -> RunConfig:
             else:
                 i += 1
                 if i >= len(argv):
-                    raise UsageError(f"--{key} needs a value")
+                    raise ConfigError(f"--{key} needs a value")
                 value = argv[i]
         if key == "config":
             file_values.update(parse_config_file(value))
@@ -277,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _parse_args(rest)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}\n{USAGE}", file=sys.stderr)
         return 2
     try:

@@ -18,7 +18,7 @@ from .train_eval import AUGMENT_MODES, GRID_KEYS, TrainConfig
 
 
 class ConfigError(ValueError):
-    """Unknown key or unparseable value."""
+    """Unknown key, unparseable value or malformed command line."""
 
 
 def _field_keys(cls: type, help_texts: dict[str, str]

@@ -201,13 +201,11 @@ def _backward_rows(tile, u, delta, bm, cm, states, gy, du, ddelta, dbm, dcm):
     sgb = np.empty((B, 1, E), dtype=u.dtype)      # sum_n bm * g
     g = np.zeros(tile.shape, dtype=u.dtype)       # dL/dh_t
     ge, gc, tmp = np.empty_like(g), np.empty_like(g), np.empty_like(g)
-    # |g| < _FLUSH as a mask in ge's bytes, which are free as a chunk begins
-    tiny = ge.reshape(-1).view(np.bool_)[:g.size].reshape(g.shape)
     g_rows, gc_rows = g.transpose(1, 0, 2), gc.transpose(1, 0, 2)  # [B,N,E]
     hs = np.empty((_CHUNK_STEPS,) + g.shape, dtype=u.dtype)  # one chunk's h_t
     es = np.empty_like(hs)                                   # and its e
     for k in range(states.shape[1] - 1, -1, -1):
-        np.copyto(g, 0, where=np.less(np.abs(g, out=tmp), _FLUSH, out=tiny))
+        np.copyto(g, 0, where=np.abs(g, out=tmp) < _FLUSH)
         steps, dts, uts = _chunk(k, delta, u)
         h = states[:, k].transpose(1, 0, 2)
         for j, t in enumerate(steps):             # tmp as scratch

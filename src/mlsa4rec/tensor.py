@@ -1,10 +1,10 @@
 """Minimal dense-tensor arithmetic with reverse-mode differentiation.
 
-Tensors wrap numpy arrays (rank <= 3, row-major) and record a tape of
-backward closures so that gradients of a scalar loss reach every
-parameter analytically.  Default precision is float32; a float64 mode
-exists because finite-difference gradient checking is unreliable in
-single precision.
+Tensors wrap numpy arrays of rank <= 3, not always contiguous (slice_last
+returns a strided view), and record a tape of backward closures so that
+gradients of a scalar loss reach every parameter analytically.  Default
+precision is float32; a float64 mode exists because finite-difference
+gradient checking is unreliable in single precision.
 
 The tape's graph is kept apart from the data.  A tensor that needs a
 gradient holds its array, its .grad slot and a _Node: the backward
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable
@@ -160,9 +161,13 @@ class Tensor:
                 leaf.grad += g
                 continue
             backward, parents = node.backward, node.parents
-            node.backward, node.parents = _released, ()
+            if backward is None:
+                raise RuntimeError("backward() through a graph that was already freed: "
+                                   "each op node is released once its gradient has "
+                                   "been propagated; rebuild the graph to run it again")
+            node.backward, node.parents = None, ()
             for p, pg in zip(parents, backward(g)):
-                if pg is None or p is None:
+                if p is None:
                     continue
                 prev = grads.get(p)
                 if prev is None:
@@ -173,16 +178,9 @@ class Tensor:
             del backward, parents
 
 
-def _released(g):
-    """Backward of an op node whose graph a backward() has already run."""
-    raise RuntimeError("backward() through a graph that was already freed: "
-                       "each op node is released once its gradient has "
-                       "been propagated; rebuild the graph to run it again")
-
-
 def make_op(data: np.ndarray, parents: Iterable[Tensor],
             backward: Callable[[np.ndarray], tuple], op: str) -> Tensor:
-    """Create an op-result Tensor, enforcing the finite-values invariant.
+    """Create an op-result Tensor through Tensor(), with finite values only.
 
     backward must capture arrays and shapes, never a Tensor: the node keeps
     the closure, and a captured op result would keep its whole array alive.
@@ -190,12 +188,10 @@ def make_op(data: np.ndarray, parents: Iterable[Tensor],
     if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by '{op}'")
     parents = tuple(parents)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
+    out = Tensor(data)
     out._op = op
-    out._node = (_Node(backward, tuple(p._node for p in parents))
-                 if recording(parents) else None)
+    if recording(parents):
+        out._node = _Node(backward, tuple(p._node for p in parents))
     return out
 
 
@@ -278,11 +274,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def bwd(g):
-        if ad.ndim == bd.ndim or ad.ndim == 2:
-            da = g @ np.swapaxes(bd, -1, -2)
+        da = g @ np.swapaxes(bd, -1, -2)
+        if ad.ndim == bd.ndim:
             db = np.swapaxes(ad, -1, -2) @ g
         else:  # (B,m,k) @ (k,p): fold batch into the reduction for db
-            da = g @ bd.T
             db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return da, db
     return make_op(out, (a, b), bwd, "matmul")
@@ -631,7 +626,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
         values[name] = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")

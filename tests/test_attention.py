@@ -62,8 +62,8 @@ class TestInterestAggregate:
     def test_single_interest_pools_everything(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((5, 4))
-        z, pooled = interest_aggregate(Tensor(h), Tensor(rng.standard_normal((1, 4))))
-        np.testing.assert_allclose(z.data, np.ones((5, 1)))
+        zt, pooled = interest_aggregate(Tensor(h), Tensor(rng.standard_normal((1, 4))))
+        np.testing.assert_allclose(zt.data, np.ones((1, 5)))
         np.testing.assert_allclose(pooled.data, h.sum(axis=0, keepdims=True),
                                    rtol=1e-12)
 
@@ -71,17 +71,17 @@ class TestInterestAggregate:
         rng = np.random.default_rng(1)
         h = rng.standard_normal((6, 4))
         th = rng.standard_normal((3, 4))
-        z, pooled = interest_aggregate(Tensor(h), Tensor(th))
+        zt, pooled = interest_aggregate(Tensor(h), Tensor(th))
         z_ref = _softmax_rows(h @ th.T)
-        np.testing.assert_allclose(z.data, z_ref, rtol=1e-12)
+        np.testing.assert_allclose(zt.data, z_ref.T, rtol=1e-12)
         np.testing.assert_allclose(pooled.data, z_ref.T @ h, rtol=1e-12)
 
     def test_assignment_rows_are_distributions(self):
         rng = np.random.default_rng(2)
-        z, _ = interest_aggregate(Tensor(rng.standard_normal((9, 5))),
-                                  Tensor(rng.standard_normal((4, 5))))
-        assert np.all(z.data >= 0)
-        np.testing.assert_allclose(z.data.sum(axis=-1), 1.0, rtol=1e-12)
+        zt, _ = interest_aggregate(Tensor(rng.standard_normal((9, 5))),
+                                   Tensor(rng.standard_normal((4, 5))))
+        assert zt.shape == (4, 9) and np.all(zt.data >= 0)
+        np.testing.assert_allclose(zt.data.sum(axis=-2), 1.0, rtol=1e-12)
 
 
 class TestLsaOracle:

@@ -140,3 +140,16 @@ class TestErrors:
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "
                            "tensor name at byte 16 is not UTF-8$"):
             load_checkpoint(str(path))
+
+    # each product is 2**64, which an int64 count wraps to 0
+    @pytest.mark.parametrize("dims", [(2,) * 64, (2 ** 31, 2 ** 31, 4),
+                                      (65536,) * 4],
+                             ids=["rank_64", "three_dims", "four_dims"])
+    def test_value_count_beyond_int64(self, tmp_path, dims):
+        path = tmp_path / "huge.ckpt"
+        blob = (CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, 1, 1)
+                + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "
+                           f"truncated after {len(blob)} bytes$"):
+            load_checkpoint(str(path))

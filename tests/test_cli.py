@@ -78,6 +78,18 @@ class TestUsageErrors:
         for key in ("d_model", "bench_lengths", "grid_dropout"):
             assert key in out
 
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_alias(self, flag, capsys):
+        code, out, _ = run([flag], capsys)
+        assert code == 0
+        assert out.startswith(USAGE)
+        assert "d_model" in out
+
+    def test_stray_argument(self, capsys):
+        code, _, err = run(["train", "stray"], capsys)
+        assert code == 2
+        assert "unexpected argument: stray" in err
+
 
 class TestPrep:
     def test_synthetic_stats(self, capsys):
@@ -108,6 +120,12 @@ class TestPrep:
                            + TINY_MODEL + TINY_TRAIN, capsys)
         assert code == 0
         assert "test: hr@2" in out
+
+    def test_raw_dataset_needs_a_path(self, capsys):
+        code, out, err = run(["prep", "--dataset", "movielens"], capsys)
+        assert code == 1
+        assert "no input path configured" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["train", "eval", "gridsearch",
                                          "gradcheck", "ablate"])
@@ -332,6 +350,14 @@ class TestGradcheckCli:
         code, out, _ = run(["gradcheck", "--toy", "--variant", variant], capsys)
         assert code == 0
         assert "gradcheck passed" in out
+
+    def test_large_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "model_grad_check", lambda *args, **kw: 0.5)
+        code, out, _ = run(["gradcheck", "--toy"], capsys)
+        assert code == 1
+        assert "max relative gradient error: 5.000e-01" in out
+        assert "gradcheck FAILED (threshold 1e-3)" in out
+        assert "passed" not in out
 
 
 class TestBenchCli:

@@ -266,6 +266,30 @@ class TestEmbeddingAndStructure:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 1, 1)))
 
+    def test_op_result_obeys_the_rank_cap(self):
+        x = tensor64(np.zeros((1, 1, 1)))
+        with pytest.raises(ShapeError, match="rank 4 exceeds"):
+            T.make_op(x.data[None], (x,), lambda g: (g[0],), "unsqueeze")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
+         "add: incompatible shapes"),
+        (lambda: T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))),
+         "rank >= 2"),
+        (lambda: T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5)))),
+         "batch dims disagree"),
+        (lambda: T.transpose_last(Tensor(np.ones(3))), "rank >= 2"),
+        (lambda: T.take_row(Tensor(np.ones(3)), 0), "rank >= 2"),
+        (lambda: T.layernorm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)),
+                             Tensor(np.zeros(4))), "gain/bias"),
+        (lambda: T.cross_entropy(Tensor(np.zeros((2, 5))), [1, 2, 3]),
+         "one target per logit row"),
+    ], ids=["add", "matmul_rank", "matmul_batch", "transpose_last", "take_row",
+            "layernorm_gain", "cross_entropy_targets"])
+    def test_shape_guards(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
 
 DAG_WIDTH = 4
 

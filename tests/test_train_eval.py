@@ -218,6 +218,11 @@ class TestEvaluate:
         assert masked.hr_at_k == 1.0
         assert plain.hr_at_k == 0.0
 
+    def test_rejects_unknown_phase(self):
+        ds, split = tiny_data(n_users=4)
+        with pytest.raises(ValueError, match="^unknown phase 'train'$"):
+            evaluate(SuccessorOracle(ds.item_count), split, "train")
+
 
 class TestTrainingExamples:
     def test_one_example_per_user(self):
@@ -334,6 +339,11 @@ class TestTrainLoop:
         cfg = replace(TrainConfig(lr=0.01, batch_size=16, epochs=1), **{key: 0})
         with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
             train(model, split, cfg)
+
+    def test_rejects_unknown_augment_mode(self):
+        cfg = TrainConfig(augment="shuffle")
+        with pytest.raises(ValueError, match="^unknown augment mode 'shuffle'$"):
+            cfg.validate()
 
     def test_multi_seed_averages(self):
         ds, split = tiny_data(n_users=12)
