@@ -33,12 +33,9 @@ def _parse_args(argv: list[str]) -> RunConfig:
         token = argv[i]
         if not token.startswith("--"):
             raise ConfigError(f"unexpected argument: {token}")
-        body = token[2:]
-        if "=" in body:
-            key, _, value = body.partition("=")
-            key = key.replace("-", "_")
-        else:
-            key = body.replace("-", "_")
+        key, eq, value = token[2:].partition("=")
+        key = key.replace("-", "_")
+        if not eq:
             if key in SCHEMA and SCHEMA[key][1] is bool:
                 value = "true"
             else:
@@ -63,6 +60,13 @@ def write_csv(path: str, rows: list[dict]) -> None:
         w.writerow(cols)
         for r in rows:
             w.writerow([r[c] for c in cols])
+
+
+def _report(what: str, path: str, rows: list[dict]) -> None:
+    """write_csv(path, rows) and say so, unless path is empty."""
+    if path:
+        write_csv(path, rows)
+        print(f"{what} written: {path}")
 
 
 def _resolve_path(path: str) -> str:
@@ -134,9 +138,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.checkpoint:
         save_checkpoint(model.params, cfg.checkpoint)
         print(f"checkpoint written: {cfg.checkpoint}")
-    if cfg.metrics_csv:
-        write_csv(cfg.metrics_csv, rows)
-        print(f"metrics written: {cfg.metrics_csv}")
+    _report("metrics", cfg.metrics_csv, rows)
     return 0
 
 
@@ -166,9 +168,7 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     model_cfg = cfg.to_model_config(ds.vocab_size)
     best_mc, best_tc, rows = grid_search(split, model_cfg, cfg.to_train_config(),
                                          grid, log=print)
-    if cfg.out:
-        write_csv(cfg.out, rows)
-        print(f"grid report written: {cfg.out}")
+    _report("grid report", cfg.out, rows)
     chosen = {k: getattr(best_mc if hasattr(best_mc, k) else best_tc, k)
               for k in grid}
     print(f"best cell: {chosen}")
@@ -183,9 +183,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     rows = result.rows
     for component, slope in result.slopes.items():
         print(f"slope {component}: {slope:.4f}")
-    if cfg.out:
-        write_csv(cfg.out, rows)
-        print(f"bench rows written: {cfg.out}")
+    _report("bench rows", cfg.out, rows)
     if cfg.plot:
         write_scaling_svg(cfg.plot, rows)
         print(f"chart written: {cfg.plot}")
@@ -228,9 +226,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
                                    train_cfg)
         rows.append({"variant": variant, **rep.columns()})
         print(f"{variant}: {rep}")
-    if cfg.out:
-        write_csv(cfg.out, rows)
-        print(f"ablation table written: {cfg.out}")
+    _report("ablation table", cfg.out, rows)
     return 0
 
 

@@ -174,8 +174,7 @@ def pad_truncate(items: list[int], max_len: int = 50) -> np.ndarray:
         raise ValueError("max_len must be >= 1")
     out = np.zeros(max_len, dtype=np.int64)
     tail = items[-max_len:]
-    if tail:
-        out[max_len - len(tail):] = tail
+    out[max_len - len(tail):] = tail
     return out
 
 

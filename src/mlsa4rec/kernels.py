@@ -5,9 +5,9 @@ Shapes (C-contiguous float32 or float64):
     a        : [E, N]         diagonal state matrix (negative entries)
     bm, cm   : [B, L, N]      input-dependent state-in / state-out maps
     y        : [B, L, E]      scan output
-    states   : [B, K, N, E]   checkpoints for backward, K = ceil(L / C),
-                              C = _CHUNK_STEPS: states[:, k] is the state
-                              entering steps k*C .. k*C + C - 1, 0 at k = 0
+    states   : [K, N, B, E]   checkpoints for backward, K = ceil(L / C),
+                              C = _CHUNK_STEPS: states[k] is the [N, B, E]
+                              state entering steps k*C .. k*C + C - 1, 0 at k = 0
 
 The recurrence per (b, n, e) holds the input over each step (zero-order
 hold).  With e = expm1(delta * a), abar = exp(delta * a) = 1 + e and
@@ -124,15 +124,15 @@ def map_rows(fn, groups):
 
 def scan_forward(u, delta, a, bm, cm, save_states: bool):
     """Run the scan; returns (y, states), states None unless save_states,
-    else the [B, ceil(L/C), N, E] checkpoints that scan_backward reads."""
+    else the [ceil(L/C), N, B, E] checkpoints that scan_backward reads."""
     B, L, E = u.shape
     blocks, tile = _tile(a, B)
     y = np.empty((B, L, E), dtype=u.dtype)
-    states = (np.empty((B, -(-L // _CHUNK_STEPS), a.shape[1], E),
+    states = (np.empty((-(-L // _CHUNK_STEPS), a.shape[1], B, E),
                        dtype=u.dtype) if save_states else None)
     map_rows(lambda r: _forward_rows(
         tile, u[r], delta[r], bm[r], cm[r], y[r],
-        None if states is None else states[r]), blocks)
+        None if states is None else states[:, :, r]), blocks)
     return y, states
 
 
@@ -169,7 +169,7 @@ def _forward_rows(tile, u, delta, bm, cm, y, states):
     e, w = np.empty_like(h), np.empty_like(h)
     for k in range(-(-L // _CHUNK_STEPS)):
         if states is not None:
-            states[:, k] = h.transpose(1, 0, 2)
+            states[k] = h
         steps, dts, uts = _chunk(k, delta, u)
         for j, t in enumerate(steps):
             _step(tile, dts[j], uts[j], bm[:, t].T[:, :, None], h, h, e, w)
@@ -183,7 +183,7 @@ def scan_backward(u, delta, a, bm, cm, states, gy):
     blocks, tile = _tile(a, len(u))
     du, ddelta, dbm, dcm = map(np.empty_like, (u, delta, bm, cm))
     parts = map_rows(lambda r: _backward_rows(
-        tile, u[r], delta[r], bm[r], cm[r], states[r], gy[r],
+        tile, u[r], delta[r], bm[r], cm[r], states[:, :, r], gy[r],
         du[r], ddelta[r], dbm[r], dcm[r]), blocks)
     da_h, da_q = (sum(part) for part in zip(*parts))   # in block order
     da = da_h + da_q[:, 0] / tile[:, 0]
@@ -204,10 +204,10 @@ def _backward_rows(tile, u, delta, bm, cm, states, gy, du, ddelta, dbm, dcm):
     g_rows, gc_rows = g.transpose(1, 0, 2), gc.transpose(1, 0, 2)  # [B,N,E]
     hs = np.empty((_CHUNK_STEPS,) + g.shape, dtype=u.dtype)  # one chunk's h_t
     es = np.empty_like(hs)                                   # and its e
-    for k in range(states.shape[1] - 1, -1, -1):
+    for k in range(len(states) - 1, -1, -1):
         np.copyto(g, 0, where=np.abs(g, out=tmp) < _FLUSH)
         steps, dts, uts = _chunk(k, delta, u)
-        h = states[:, k].transpose(1, 0, 2)
+        h = states[k]
         for j, t in enumerate(steps):             # tmp as scratch
             _step(tile, dts[j], uts[j], bm[:, t].T[:, :, None],
                   h, hs[j], es[j], tmp)

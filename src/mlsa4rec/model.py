@@ -263,16 +263,17 @@ class MlsaModel:
 
         A batch of more than SCORE_ROWS rows is cut into the fewest
         near-equal row groups of at most SCORE_ROWS rows, and the groups'
-        forwards run on the kernels pool; no row reads another, so the
-        scores are those of one forward over the whole batch.  A smaller
-        batch, or one sequence, is one group, run inline: split, its numpy
-        calls are too small to pay for handing the interpreter lock over.
-        A batch of no rows gets [0, vocab] scores.
+        forwards run on the kernels pool, each untaped on the thread that
+        runs it; no row reads another, so the scores are those of one
+        forward over the whole batch.  A smaller batch, or one sequence, is
+        one group, run inline: split, its numpy calls are too small to pay
+        for handing the interpreter lock over.  A batch of no rows gets
+        [0, vocab] scores.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim == 2 and len(ids) == 0:
             return np.empty((0, self.config.vocab_size), dtype=self.params.dtype)
         groups = -(-len(ids) // SCORE_ROWS) if ids.ndim == 2 else 1
-        with T.no_grad():
-            return np.concatenate(kernels.map_rows(
-                lambda g: self.forward(g)[0].data, np.array_split(ids, groups)))
+        return np.concatenate(kernels.map_rows(
+            T.no_grad()(lambda g: self.forward(g)[0].data),
+            np.array_split(ids, groups)))

@@ -21,6 +21,7 @@ import heapq
 import itertools
 import math
 import struct
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -55,25 +56,25 @@ class CheckpointError(IOError):
     """Checkpoint file is malformed or version-incompatible."""
 
 
-_tape_on = True
+_tape = threading.local()  # .off: this thread is inside no_grad; unset, it records
 _created = itertools.count()  # creation numbers; next() is atomic under the GIL
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / benchmarks)."""
-    global _tape_on
-    prev = _tape_on
-    _tape_on = False
+    """Disable tape recording inside the block, on the calling thread only;
+    as a decorator, on whichever thread runs the function."""
+    prev = getattr(_tape, "off", False)
+    _tape.off = True
     try:
         yield
     finally:
-        _tape_on = prev
+        _tape.off = prev
 
 
 def recording(parents: Iterable[Tensor]) -> bool:
     """An op goes on the tape outside no_grad when a parent requires grad."""
-    return _tape_on and any(p.requires_grad for p in parents)
+    return not getattr(_tape, "off", False) and any(p.requires_grad for p in parents)
 
 
 class _Node:
@@ -134,12 +135,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs one element, not shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     # -- autodiff -----------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root, accumulating into .grad slots.
+        """Backpropagate from a taped scalar root, accumulating into .grad slots.
 
         An op node is made after its parents, so creation order is a
         topological order: popped newest first, a node comes after all its
@@ -148,7 +151,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root")
-        root = self._node or _Node(None, (), self)
+        root = self._node
+        if root is None:
+            raise RuntimeError("backward() from a root that is on no tape")
         grads: dict[_Node, np.ndarray] = {root: np.ones_like(self.data)}
         pending = [(-root.seq, root)]
         while pending:

@@ -208,8 +208,7 @@ def train(model: MlsaModel, split: Split, cfg: TrainConfig, log=None) -> TrainRe
     rng = np.random.default_rng(cfg.seed)
     model.reseed_dropout(cfg.seed)
     opt = Adam(model.params, lr=cfg.lr)
-    best = TrainResult(MetricsReport(0.0, -1.0, 0.0, cfg.k, 0), -1)
-    best_params: dict[str, np.ndarray] = {}
+    best = TrainResult(MetricsReport(0.0, -1.0, 0.0, cfg.k, 0), -1)  # epoch 0 beats it
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(ys))
         total = 0.0
@@ -231,8 +230,7 @@ def train(model: MlsaModel, split: Split, cfg: TrainConfig, log=None) -> TrainRe
             best_params = model.params.snapshot()
         elif epoch - best.best_epoch >= cfg.patience:
             break
-    if best_params:
-        model.params.load_values(best_params)
+    model.params.load_values(best_params)
     return best
 
 

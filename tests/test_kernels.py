@@ -71,8 +71,8 @@ class TestScan:
         # and with one-step chunks every such state is kept
         monkeypatch.setattr(kernels, "_CHUNK_STEPS", 1)
         _, every = kernels.scan_forward(*args, True)
-        assert not every[:, 0].any()
-        np.testing.assert_array_equal(h, every[:, ::C])
+        assert not every[0].any()
+        np.testing.assert_array_equal(h, every[::C])
 
     def test_saving_states_leaves_output_unchanged(self):
         rng = np.random.default_rng(4)
@@ -394,6 +394,25 @@ class TestParallelScore:
         worker.join(60)
         assert not worker.is_alive(), "score deadlocked on the kernels pool"
         assert out[0].shape == (4, 30)
+
+    def test_each_group_runs_untaped_on_the_thread_that_runs_it(self, monkeypatch):
+        # no_grad holds per thread, so a group on a pool thread must turn
+        # the tape off there itself
+        monkeypatch.setattr("mlsa4rec.model.SCORE_ROWS", 2)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        model, ids = score_case(6)                       # groups of 2, 2, 2
+        forward, groups = MlsaModel.forward, []
+
+        def spy(self, *args, **kwargs):
+            logits, inter = forward(self, *args, **kwargs)
+            groups.append((threading.current_thread(), logits._node))
+            return logits, inter
+        monkeypatch.setattr(MlsaModel, "forward", spy)
+        model.score(ids)
+        assert len(groups) == 3
+        assert all(node is None for _, node in groups)
+        assert any(thread is not threading.main_thread() for thread, _ in groups)
 
     def test_small_batch_makes_no_map_of_its_own(self, monkeypatch, spy_pool):
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)

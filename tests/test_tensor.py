@@ -1,6 +1,7 @@
 """Tensor core: op semantics against independent oracles, autodiff
 against finite differences, serialization round-trips."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -359,6 +360,32 @@ class TestGraphMechanics:
             y = T.mul(x, x)
         assert not y.requires_grad and y._node is None
 
+    def test_no_grad_holds_only_on_its_own_thread(self):
+        x = tensor64(np.ones(3))
+        inside, release, held = threading.Event(), threading.Event(), []
+
+        def hold():
+            with T.no_grad():
+                held.append(T.mul(x, x))
+                inside.set()
+                release.wait(60)
+
+        other = threading.Thread(target=hold, daemon=True)
+        other.start()
+        try:
+            assert inside.wait(60)
+            y = T.mul(x, x)
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert y._node is not None and held[0]._node is None
+
+    def test_item_needs_one_element(self):
+        assert Tensor(np.array([[2.5]])).item() == 2.5
+        with pytest.raises(ShapeError, match="one element"):
+            Tensor(np.array([1.0, 2.0])).item()
+
     def test_diamond_graph_accumulates(self):
         x = tensor64(np.array([2.0]))
         y = T.mul(x, x)                 # x^2
@@ -416,6 +443,21 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError, match="graph that was already freed"):
             z.backward()
         np.testing.assert_array_equal(x.grad, [4.0])  # the first pass only
+
+    def test_backward_from_an_untaped_root_raises(self):
+        store = ParameterStore(0, dtype=np.float64)
+        w = store.uniform("w", (2, 3), 3)
+        v = store.uniform("v", (3,), 3)
+        for t in store.entries.values():
+            t.grad[...] = store.rng.standard_normal(t.shape)
+        before = {name: t.grad.copy() for name, t in store.entries.items()}
+        with T.no_grad():
+            loss = T.tsum(T.add(w, v))
+        with pytest.raises(RuntimeError, match="on no tape"):
+            loss.backward()
+        for name, t in store.entries.items():
+            np.testing.assert_array_equal(t.grad, before[name])
+        assert loss.grad is None
 
     def test_nan_raises_numerics_error(self):
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
